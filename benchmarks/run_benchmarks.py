@@ -142,19 +142,16 @@ def bench_hmult_rotate(ev, ct, ct_other,
 
 
 def bench_rotation_batch(ev, ct, reps: int) -> dict[str, tuple[float, int]]:
-    """NTT-domain vs coefficient-hoisted vs sequential rotation batches.
+    """NTT-domain hoisted vs sequential vs fused rotation batches.
 
     ``rotation_batch_ntt_domain`` keeps one NTT-domain raised
     decomposition of ``ct.a`` alive for the whole batch — every
     rotation is an evaluation-point gather + evk product + ModDown
-    (``Evaluator.rotate_hoisted``, the production path).
-    ``rotation_batch_hoisted`` is the PR-3 coefficient-domain hoist
-    retained as the differential oracle: it shares the iNTT/BConv but
-    re-runs the stacked forward transform per rotation.
+    (``Evaluator.galois_hoisted``, the production path).
     ``rotation_batch_sequential`` pays a full raise per rotation (each
-    one NTT-domain internally).  All three produce bit-identical
-    ciphertexts, so the ratios are pure scheduling wins — the kernels
-    that gate the CoeffToSlot/SlotToCoeff baby-step path.
+    one NTT-domain internally).  Both produce bit-identical
+    ciphertexts, so the ratio is a pure scheduling win — the kernel
+    that gates the CoeffToSlot/SlotToCoeff baby-step path.
     ``rotation_batch_fused`` runs the same amounts as one
     ``rotate_reduce`` gather-accumulate (``fusion_moddown="single"``):
     the whole sum pays a single ModDown, so its pairing against
@@ -172,12 +169,7 @@ def bench_rotation_batch(ev, ct, reps: int) -> dict[str, tuple[float, int]]:
 
     return {
         "rotation_batch_ntt_domain":
-            (_median_seconds(lambda: ev.rotate_hoisted(ct, amounts), reps),
-             reps),
-        "rotation_batch_hoisted":
-            (_median_seconds(
-                lambda: ev.rotate_hoisted(ct, amounts, domain="coeff"),
-                reps),
+            (_median_seconds(lambda: ev.galois_hoisted(ct, amounts), reps),
              reps),
         "rotation_batch_sequential":
             (_median_seconds(sequential, reps), reps),
@@ -205,7 +197,7 @@ def rotation_fusion_tallies(ev, ct) -> dict:
     obs.enable()
     try:
         K.reset()
-        rotations = ev.rotate_hoisted(ct, amounts)
+        rotations, _ = ev.galois_hoisted(ct, amounts)
         acc = None
         for amount in amounts:
             acc = rotations[amount] if acc is None \

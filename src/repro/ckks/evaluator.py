@@ -245,24 +245,6 @@ class Evaluator:
         # decrypts under s:  b_out - a_out*s = b' - (ks_b - ks_a*s) = m(X^g).
         return Ciphertext(b_rot.sub(ks_b), ks_a.neg(), ct.scale, ct.n_slots)
 
-    def _galois_from_hoisted(self, ct: Ciphertext, b_coeff, hoisted,
-                             galois_elt: int,
-                             evk: EvaluationKey) -> Ciphertext:
-        """Coefficient-domain hoisted galois (the PR-3 differential oracle).
-
-        Permutes the hoisted coefficient-domain slices and pays one
-        stacked forward NTT per galois element.  Bit-identical to
-        :meth:`_galois_from_raised`; kept callable (``domain="coeff"``)
-        so the permutation-oracle test tier and the
-        ``rotation_batch_hoisted`` benchmark can still exercise it.
-        """
-        from repro.ckks.keyswitch import key_switch_raised, raise_hoisted
-
-        raised = raise_hoisted(hoisted, galois_elt, ct.level, self.ring)
-        ks_b, ks_a = key_switch_raised(raised, evk, ct.level, self.ring)
-        b_rot = b_coeff.galois(galois_elt).to_ntt()
-        return Ciphertext(b_rot.sub(ks_b), ks_a.neg(), ct.scale, ct.n_slots)
-
     def rotate(self, ct: Ciphertext, amount: int) -> Ciphertext:
         """HRot: cyclically shift message slots by ``amount``."""
         amount = amount % ct.n_slots
@@ -275,32 +257,24 @@ class Evaluator:
                                   self.rotation_keys[amount])
 
     def galois_hoisted(self, ct: Ciphertext, amounts: list[int],
-                       conjugate: bool = False, domain: str = "ntt"
+                       conjugate: bool = False
                        ) -> tuple[dict[int, Ciphertext],
                                   Ciphertext | None]:
         """Many galois ops on one ciphertext, sharing one decomposition.
 
-        The hoisting optimization of [12] (also used by Lattigo),
-        upgraded to the BTS evaluation-domain form: with
-        ``domain="ntt"`` (default) the *entire* raise — iNTT, every
+        The hoisting optimization of [12] (also used by Lattigo), in the
+        BTS evaluation-domain form: the *entire* raise — iNTT, every
         ModUp BConv, and the stacked forward transform — runs once, and
         each galois element only gathers the raised NTT-domain slices,
-        multiplies with its own evk and mods down.  ``domain="coeff"``
-        selects the PR-3 oracle route, which re-runs the forward
-        transform per element.  Both are bit-identical to sequential
-        :meth:`rotate` / :meth:`conjugate` calls.
+        multiplies with its own evk and mods down.  Bit-identical to
+        sequential :meth:`rotate` / :meth:`conjugate` calls.
 
         Returns ``(rotations, conjugated)`` where ``rotations`` maps
         each requested amount to its rotated ciphertext and
         ``conjugated`` is the HConj result (``None`` unless
         ``conjugate=True``).
         """
-        if domain not in ("ntt", "coeff"):
-            raise ValueError(f"unknown galois domain {domain!r}")
-        from repro.ckks.keyswitch import (
-            hoist_decomposition,
-            raise_decomposition,
-        )
+        from repro.ckks.keyswitch import raise_decomposition
 
         unique = sorted({a % ct.n_slots for a in amounts})
         out: dict[int, Ciphertext] = {}
@@ -321,38 +295,15 @@ class Evaluator:
                 for amount in pending]
         if conjugate:
             jobs.append((2 * self.ring.n - 1, self.conjugation_key, None))
-        if domain == "ntt":
-            raised = raise_decomposition(ct.a, ct.level, self.ring)
-
-            def finish(galois_elt: int, evk: EvaluationKey) -> Ciphertext:
-                return self._galois_from_raised(ct, raised, galois_elt,
-                                                evk)
-        else:
-            hoisted = hoist_decomposition(ct.a, ct.level, self.ring)
-            b_coeff = ct.b.from_ntt()
-
-            def finish(galois_elt: int, evk: EvaluationKey) -> Ciphertext:
-                return self._galois_from_hoisted(ct, b_coeff, hoisted,
-                                                 galois_elt, evk)
+        raised = raise_decomposition(ct.a, ct.level, self.ring)
         conjugated: Ciphertext | None = None
         for galois_elt, evk, amount in jobs:
-            result = finish(galois_elt, evk)
+            result = self._galois_from_raised(ct, raised, galois_elt, evk)
             if amount is None:
                 conjugated = result
             else:
                 out[amount] = result
         return out, conjugated
-
-    def rotate_hoisted(self, ct: Ciphertext, amounts: list[int],
-                       domain: str = "ntt") -> dict[int, Ciphertext]:
-        """Many rotations of one ciphertext, sharing a single raise.
-
-        Thin wrapper over :meth:`galois_hoisted` (rotations only); see
-        there for the domain semantics.  Bit-identical to calling
-        :meth:`rotate` per amount.
-        """
-        rotations, _ = self.galois_hoisted(ct, amounts, domain=domain)
-        return rotations
 
     def conjugate(self, ct: Ciphertext) -> Ciphertext:
         """HConj: complex-conjugate every slot (galois element 2N-1)."""
@@ -382,35 +333,34 @@ class Evaluator:
         The whole rotate-reduce tree shares a single NTT-domain raise of
         ``ct.a``; each non-identity term is an evaluation-point gather
         plus an evk inner product (:func:`~repro.ckks.keyswitch
-        .key_switch_accumulate`).  What happens to the accumulators
-        depends on ``mode``:
+        .key_switch_accumulate`), and every term's output scale must
+        match (the planner guarantees this for fused trees; the result
+        carries the first term's).  ``mode`` decides what happens to the
+        accumulator pairs:
 
-        * ``"stacked"`` — every member's ``(b, a)`` accumulator pair
-          rides one :func:`~repro.ckks.keyswitch.mod_down_many`
-          dispatch, members materialize fully, weights/signs/additions
-          apply in ``C_level``.  **Bit-identical** to executing the tree
-          as discrete rotate/weight/add ops (the ModDown count is
-          unchanged — this mode fuses dispatches, not arithmetic).
         * ``"single"`` (default) — the double-hoisting trick of
           :meth:`~repro.ckks.linear_transform.LinearTransform.apply`
-          generalized: weighted accumulation happens in the P-scaled
-          extended base ``C_level + B`` and the whole tree pays **one**
-          ModDown (one :func:`~repro.ckks.keyswitch.mod_down_pair`).
-          Identity terms stay exact in ``C_level`` (no extension
-          round-trip); only the key-switch halves share the fused
-          ModDown, so the BConv approximation enters once per tree
-          instead of once per member — noise-level rounding shifts
-          exactly like the PR-4 double-hoisted BSGS, which is why this
-          mode is tolerance-tested rather than bit-identity-tested.
-
-        Every term's output scale must match (the planner guarantees
-        this for fused trees); the result carries the first term's.
+          generalized: the pairs are weighted and summed in the
+          P-scaled extended base ``C_level + B`` and the whole tree pays
+          **one** ModDown of two polynomials.  Identity terms stay exact
+          in ``C_level`` (no extension round-trip), so the BConv
+          approximation enters once per tree instead of once per member
+          — noise-level rounding shifts exactly like the double-hoisted
+          BSGS, which is why this mode is tolerance-tested rather than
+          bit-identity-tested.
+        * ``"stacked"`` — every member's pair rides one
+          :func:`~repro.ckks.keyswitch.mod_down` dispatch, members
+          materialize fully, and weights, signs and additions run as
+          the discrete ops in ``C_level``.  **Bit-identical** to
+          executing the tree as discrete rotate/weight/add ops: stacked
+          ModDown matches per-member ModDowns, and residue arithmetic is
+          exactly associative, so the ModDown count is unchanged — this
+          mode fuses dispatches, not arithmetic.
         """
         from repro.ckks.keyswitch import (
             galois_raised,
             key_switch_accumulate,
-            mod_down_many,
-            mod_down_pair,
+            mod_down,
             raise_decomposition,
         )
 
@@ -418,19 +368,17 @@ class Evaluator:
             raise ValueError(f"unknown rotate_reduce mode {mode!r}")
         if not terms:
             raise ValueError("rotate_reduce needs at least one term")
+        single = mode == "single"
         ring = self.ring
         level = ct.level
-        galois_terms = [t for t in terms if t.amount != 0]
         raised = (raise_decomposition(ct.a, level, ring)
-                  if galois_terms else None)
-
-        if mode == "stacked":
-            return self._rotate_reduce_stacked(ct, terms, raised)
-
+                  if any(t.amount != 0 for t in terms) else None)
         base_q = ring.base_q(level)
         base_qp = ring.base_qp(level)
-        b_acc = a_acc = None          # exact accumulators over C_level
-        ks_b_acc = ks_a_acc = None    # P-scaled accumulators, C_level + B
+        b_acc = a_acc = None          # single: exact sums over C_level
+        ks_b_acc = ks_a_acc = None    # single: P-scaled sums, C_level + B
+        pending: list[RnsPolynomial] = []  # stacked: every member's pair
+        members = []                  # stacked: (term, galois elt, scale)
         out_scale = None
 
         def accumulate(acc, poly, sign):
@@ -451,7 +399,7 @@ class Evaluator:
                     f"rotate_reduce term scales diverge: {term_scale:.6g}"
                     f" vs {out_scale:.6g}")
             weight_qp = weight_q = None
-            if term.weight is not None:
+            if single and term.weight is not None:
                 if isinstance(term.weight, np.ndarray):
                     weight_qp = self.encoder.encode(
                         np.asarray(term.weight, dtype=np.complex128),
@@ -464,16 +412,22 @@ class Evaluator:
                 # residue spread), so one encode serves both halves.
                 weight_q = weight_qp.restrict(base_q)
             if term.amount == 0:
-                b_part, a_part = ct.b, ct.a
-                if weight_q is not None:
-                    b_part, a_part = b_part.mul(weight_q), \
-                        a_part.mul(weight_q)
-                b_acc = accumulate(b_acc, b_part, term.sign)
-                a_acc = accumulate(a_acc, a_part, term.sign)
+                members.append((term, None, scale))
+                if single:
+                    b_part, a_part = ct.b, ct.a
+                    if weight_q is not None:
+                        b_part, a_part = b_part.mul(weight_q), \
+                            a_part.mul(weight_q)
+                    b_acc = accumulate(b_acc, b_part, term.sign)
+                    a_acc = accumulate(a_acc, a_part, term.sign)
                 continue
             galois_elt, evk = self._reduce_galois_elt(term.amount)
             ks_b, ks_a = key_switch_accumulate(
                 galois_raised(raised, galois_elt), evk, level, ring)
+            members.append((term, galois_elt, scale))
+            if not single:
+                pending.extend((ks_b, ks_a))
+                continue
             b_rot = ct.b.galois(galois_elt)
             if weight_q is not None:
                 b_rot = b_rot.mul(weight_q)
@@ -481,66 +435,33 @@ class Evaluator:
             b_acc = accumulate(b_acc, b_rot, term.sign)
             ks_b_acc = accumulate(ks_b_acc, ks_b, term.sign)
             ks_a_acc = accumulate(ks_a_acc, ks_a, term.sign)
-        if ks_b_acc is not None:
-            ks_b_md, ks_a_md = mod_down_pair(ks_b_acc, ks_a_acc, level,
-                                             ring)
-            b_acc = ks_b_md.neg() if b_acc is None else b_acc.sub(ks_b_md)
-            a_acc = ks_a_md.neg() if a_acc is None else a_acc.sub(ks_a_md)
-        return Ciphertext(b_acc, a_acc, out_scale, ct.n_slots)
 
-    def _rotate_reduce_stacked(self, ct: Ciphertext,
-                               terms: list[ReduceTerm],
-                               raised) -> Ciphertext:
-        """Bit-identical rotate-reduce: one stacked ModDown dispatch.
+        if single:
+            if ks_b_acc is not None:
+                ks_b_md, ks_a_md = mod_down([ks_b_acc, ks_a_acc], level,
+                                            ring)
+                b_acc = ks_b_md.neg() if b_acc is None \
+                    else b_acc.sub(ks_b_md)
+                a_acc = ks_a_md.neg() if a_acc is None \
+                    else a_acc.sub(ks_a_md)
+            return Ciphertext(b_acc, a_acc, out_scale, ct.n_slots)
 
-        Members materialize exactly as :meth:`_galois_from_raised`
-        would produce them (all accumulator halves share one
-        :func:`~repro.ckks.keyswitch.mod_down_many` call, which is
-        bit-identical to per-member ModDowns), then weights, signs and
-        additions run as the discrete ops — residue arithmetic is
-        exactly associative, so any accumulation order matches the
-        unfused tree bit for bit.
-        """
-        from repro.ckks.keyswitch import (
-            galois_raised,
-            key_switch_accumulate,
-            mod_down_many,
-        )
-
-        ring = self.ring
-        level = ct.level
-        pending: list[RnsPolynomial] = []
-        for term in terms:
-            if term.amount == 0:
-                continue
-            galois_elt, evk = self._reduce_galois_elt(term.amount)
-            acc_b, acc_a = key_switch_accumulate(
-                galois_raised(raised, galois_elt), evk, level, ring)
-            pending.extend((acc_b, acc_a))
-        lowered = mod_down_many(pending, level, ring)
+        lowered = iter(mod_down(pending, level, ring))
         acc: Ciphertext | None = None
-        index = 0
-        for term in terms:
-            if term.amount == 0:
-                member = ct
-            else:
-                galois_elt, _ = self._reduce_galois_elt(term.amount)
-                ks_b, ks_a = lowered[index], lowered[index + 1]
-                index += 2
+        for term, galois_elt, scale in members:
+            member = ct
+            if galois_elt is not None:
+                ks_b, ks_a = next(lowered), next(lowered)
                 member = Ciphertext(ct.b.galois(galois_elt).sub(ks_b),
                                     ks_a.neg(), ct.scale, ct.n_slots)
-            if term.weight is not None:
-                if isinstance(term.weight, np.ndarray):
-                    scale = term.weight_scale
-                    if scale is None:
-                        scale = float(ring.q_primes[level].value)
-                    pt = self.encoder.encode(
-                        np.asarray(term.weight, dtype=np.complex128),
-                        scale, level=member.level)
-                    member = self.multiply_plain(member, pt)
-                else:
-                    member = self.multiply_scalar(
-                        member, term.weight, scale=term.weight_scale)
+            if isinstance(term.weight, np.ndarray):
+                pt = self.encoder.encode(
+                    np.asarray(term.weight, dtype=np.complex128),
+                    scale, level=level)
+                member = self.multiply_plain(member, pt)
+            elif term.weight is not None:
+                member = self.multiply_scalar(member, term.weight,
+                                              scale=scale)
             if acc is None:
                 acc = self.negate(member) if term.sign < 0 else member
             elif term.sign < 0:

@@ -11,27 +11,20 @@ special-prime part followed by the fused subtract-scale-add (SSA).
 Transform reuse: every slice's converted limbs need the same forward
 transform, so :func:`raise_decomposition` concatenates them along the
 limb axis and runs one :class:`~repro.ckks.rns.StackedTransform` pass;
-:func:`mod_down_pair` does the same for the two halves of a key-switch
-accumulator (one stacked iNTT, one coefficient-stacked BConv, one
-stacked NTT).  Both are bit-identical to the per-polynomial path.
+:func:`mod_down` does the same for every polynomial it lowers (one
+stacked iNTT, one coefficient-stacked BConv, one stacked NTT).  Both are
+bit-identical to transforming each polynomial on its own.
 
-Hoisting: for galois ops (HRot/HConj) the decompose-and-convert half is
-rotation-independent.  Two hoisted routes coexist:
-
-* **NTT-domain hoisting (the production path, BTS Section 4.1):** the
-  full :func:`raise_decomposition` — iNTT, every BConv, *and* the one
-  stacked forward transform — is rotation-independent, because the
-  automorphism acts on the raised NTT-domain slices as a pure
-  evaluation-point gather (:func:`galois_raised` /
-  :meth:`~repro.ckks.rns.RnsPolynomial.galois`).  A rotation then costs
-  one index gather + the evk inner product + ModDown; no transform at
-  all.
-* **Coefficient-domain hoisting (the PR-3 path, retained as the
-  differential oracle):** :func:`hoist_decomposition` stops before the
-  forward transform, :func:`raise_hoisted` permutes in the coefficient
-  domain and pays one stacked forward NTT per galois element.  Both
-  routes are bit-identical (gather after the transform == transform
-  after the permute), which the permutation-oracle test tier enforces.
+Hoisting (BTS Section 4.1): for galois ops (HRot/HConj) the whole of
+:func:`raise_decomposition` - iNTT, every BConv, *and* the stacked
+forward transform - is rotation-independent, because the automorphism
+acts on the raised NTT-domain slices as a pure evaluation-point gather
+(:func:`galois_raised` / :meth:`~repro.ckks.rns.RnsPolynomial.galois`).
+One raise serves a whole batch; each rotation then costs one index
+gather + the evk inner product + ModDown, with no transform at all.
+The coefficient-domain hoist (permute before the forward transform) is
+bit-identical and serves as the differential oracle in
+``tests/oracles/galois.py``.
 
 Double-hoisting: :func:`key_switch_accumulate` exposes the evk inner
 product *without* the trailing ModDown, so a BSGS giant-step group can
@@ -104,75 +97,20 @@ def _assemble_raised(target_base: tuple[PrimeContext, ...],
     return RnsPolynomial(target_base, residues, is_ntt=True)
 
 
-def mod_down(poly: RnsPolynomial, level: int,
-             ring: RingContext) -> RnsPolynomial:
-    """Divide an NTT-domain polynomial over C_level + B by P.
+def mod_down(polys: list[RnsPolynomial], level: int,
+             ring: RingContext) -> list[RnsPolynomial]:
+    """Divide NTT-domain polynomials over C_level + B by P.
 
-    Computes ``(poly - BConv_B->C(poly mod P)) * P^-1`` limb-wise on the q
-    part - the subtract / (1/P)-scale / add fusion the paper maps onto the
-    MMAU (Section 5.2).  The ``P^-1 mod q_i`` scalar columns come
-    pre-built from the ring context.
-    """
-    base_q = ring.base_q(level)
-    if _obs_kernel._ENABLED:
-        _obs_kernel.TALLY.moddown += 1
-    # Row views, not copies: C_level occupies the leading rows of the
-    # C_level + B matrix and B the trailing ones (from_ntt copies anyway).
-    p_part = RnsPolynomial(ring.base_p, poly.residues[level + 1:], True)
-    q_part = RnsPolynomial(base_q, poly.residues[:level + 1], True)
-    correction = base_convert(p_part.from_ntt(), base_q).to_ntt()
-    cols, cols_shoup = ring.p_inv_scalar_columns(level)
-    return q_part.sub(correction).mul_scalar_columns(cols, cols_shoup)
-
-
-def mod_down_pair(poly_b: RnsPolynomial, poly_a: RnsPolynomial, level: int,
-                  ring: RingContext
-                  ) -> tuple[RnsPolynomial, RnsPolynomial]:
-    """ModDown both halves of a key-switch accumulator together.
-
-    Bit-identical to ``(mod_down(b), mod_down(a))`` but runs one stacked
-    iNTT over both special-prime parts, one BConv whose coefficient axis
-    holds both polynomials side by side, and one stacked NTT over both
-    corrections — halving the Python-level stage dispatches of the
-    ModDown tail.
-    """
-    base_q = ring.base_q(level)
-    base_p = ring.base_p
-    if _obs_kernel._ENABLED:
-        _obs_kernel.TALLY.moddown += 2  # two logical ModDowns, fused
-    n = poly_b.n
-    coeff_b, coeff_a = StackedTransform.inverse(
-        [RnsPolynomial(base_p, poly.residues[level + 1:], True)
-         for poly in (poly_b, poly_a)])
-    # BConv is coefficient-wise: feed both polynomials as one matrix of
-    # 2N columns, then split the converted halves back apart.
-    paired = RnsPolynomial(
-        base_p, np.concatenate([coeff_b.residues, coeff_a.residues],
-                               axis=1), False)
-    converted = base_convert(paired, base_q)
-    corr_b, corr_a = StackedTransform.forward(
-        [RnsPolynomial(base_q, converted.residues[:, :n], False),
-         RnsPolynomial(base_q, converted.residues[:, n:], False)])
-    cols, cols_shoup = ring.p_inv_scalar_columns(level)
-    outs = []
-    for poly, corr in ((poly_b, corr_b), (poly_a, corr_a)):
-        q_part = RnsPolynomial(base_q, poly.residues[:level + 1], True)
-        outs.append(q_part.sub(corr).mul_scalar_columns(cols, cols_shoup))
-    return outs[0], outs[1]
-
-
-def mod_down_many(polys: list[RnsPolynomial], level: int,
-                  ring: RingContext) -> list[RnsPolynomial]:
-    """ModDown every polynomial of ``polys`` through one stacked tail.
-
-    Generalizes :func:`mod_down_pair` from two polynomials to any
-    count: one stacked iNTT over all special-prime parts, one BConv
-    whose coefficient axis holds every polynomial side by side, one
-    stacked NTT over all corrections.  Bit-identical to calling
-    :func:`mod_down` per polynomial (the pair variant's invariant,
-    unchanged by width) — this is what lets a fused rotate-reduce tree
-    ModDown all of its members in one dispatch without perturbing a
-    single output bit.
+    Computes ``(poly - BConv_B->C(poly mod P)) * P^-1`` limb-wise on the
+    q part of every polynomial - the subtract / (1/P)-scale / add fusion
+    the paper maps onto the MMAU (Section 5.2).  All of ``polys`` share
+    one stacked tail: one stacked iNTT over every special-prime part,
+    one BConv whose coefficient axis holds every polynomial side by
+    side, one stacked NTT over every correction.  The result is
+    bit-identical to lowering each polynomial on its own at any width,
+    which is what lets a key-switch pair or a whole fused rotate-reduce
+    tree ModDown in one dispatch.  The ``P^-1 mod q_i`` scalar columns
+    come pre-built from the ring context.
     """
     if not polys:
         return []
@@ -181,13 +119,15 @@ def mod_down_many(polys: list[RnsPolynomial], level: int,
     if _obs_kernel._ENABLED:
         _obs_kernel.TALLY.moddown += len(polys)  # logical count, fused
     n = polys[0].n
+    # Row views, not copies: C_level occupies the leading rows of the
+    # C_level + B matrix and B the trailing ones.
     coeffs = StackedTransform.inverse(
         [RnsPolynomial(base_p, poly.residues[level + 1:], True)
          for poly in polys])
-    paired = RnsPolynomial(
+    stacked = RnsPolynomial(
         base_p, np.concatenate([c.residues for c in coeffs], axis=1),
         False)
-    converted = base_convert(paired, base_q)
+    converted = base_convert(stacked, base_q)
     corrections = StackedTransform.forward(
         [RnsPolynomial(base_q, converted.residues[:, i * n:(i + 1) * n],
                        False)
@@ -198,62 +138,6 @@ def mod_down_many(polys: list[RnsPolynomial], level: int,
         q_part = RnsPolynomial(base_q, poly.residues[:level + 1], True)
         outs.append(q_part.sub(corr).mul_scalar_columns(cols, cols_shoup))
     return outs
-
-
-def hoist_decomposition(poly: RnsPolynomial, level: int, ring: RingContext
-                        ) -> tuple[tuple[RnsPolynomial, RnsPolynomial], ...]:
-    """The rotation-independent half of a *coefficient-domain* hoist.
-
-    Runs one shared iNTT of ``poly`` and the per-slice BConv of ModUp,
-    but stops *before* the forward transform: the returned
-    ``(own_coeff, converted_coeff)`` pairs stay in the coefficient
-    domain, where the automorphism is a cheap permutation.  Hoisting
-    [12] computes this once per ciphertext and shares it across every
-    rotation of a BSGS group; :func:`raise_hoisted` finishes the job for
-    one galois element.  (Applying the automorphism *after* ModUp flips
-    the slice representative from ``[g(a)]_{Q_j}`` to ``-[a]_{Q_j}``
-    permuted; the two differ by a multiple of ``Q_j``, which the evk
-    gadget absorbs up to noise — same guarantee as classic hoisting.)
-
-    This is the PR-3 hoisting route, retained as the differential oracle
-    for the NTT-domain path (:func:`raise_decomposition` +
-    :func:`galois_raised`), which additionally hoists the forward
-    transform itself and is what production galois ops run.
-    """
-    if not poly.is_ntt:
-        raise ValueError("hoist_decomposition expects an NTT polynomial")
-    coeff = poly.from_ntt()  # one batched iNTT shared by every rotation
-    parts = []
-    for slice_base, complement, _, _ in ring.mod_up_plan(level):
-        own = coeff.restrict(slice_base)
-        parts.append((own, base_convert(own, complement)))
-    return tuple(parts)
-
-
-def raise_hoisted(parts: tuple[tuple[RnsPolynomial, RnsPolynomial], ...],
-                  galois_elt: int, level: int, ring: RingContext
-                  ) -> list[RnsPolynomial]:
-    """Permute hoisted slices by ``X -> X^galois_elt`` and NTT them.
-
-    The rotation-dependent half of a hoisted key-switch: applies the
-    automorphism to every own/converted coefficient block of
-    :func:`hoist_decomposition` and runs one stacked forward transform
-    over all of them (the same ``beta * (level+1+k)`` limb rows the
-    non-hoisted path transforms, in a single dispatch).  The result
-    feeds :func:`key_switch_raised` unchanged.
-    """
-    plan = ring.mod_up_plan(level)
-    rotated: list[RnsPolynomial] = []
-    for own, converted in parts:
-        rotated.append(own.galois(galois_elt))
-        rotated.append(converted.galois(galois_elt))
-    ntts = StackedTransform.forward(rotated)
-    target_base = ring.base_qp(level)
-    return [
-        _assemble_raised(target_base, ntts[2 * i], ntts[2 * i + 1],
-                         own_rows, conv_rows)
-        for i, (_, _, own_rows, conv_rows) in enumerate(plan)
-    ]
 
 
 def raise_decomposition(poly: RnsPolynomial, level: int,
@@ -268,12 +152,10 @@ def raise_decomposition(poly: RnsPolynomial, level: int,
     transform-reuse trick; one batched iNTT is already shared on the way
     down).
 
-    The result doubles as the *NTT-domain hoisted state*: because the
-    automorphism is an evaluation-point gather on NTT-domain slices
-    (:func:`galois_raised`), every rotation of a batch reuses these
-    raised slices directly — including the forward transform, which the
-    coefficient-domain hoist (:func:`hoist_decomposition`) must re-run
-    per rotation.
+    The result doubles as the *hoisted state* of a galois batch:
+    because the automorphism is an evaluation-point gather on NTT-domain
+    slices (:func:`galois_raised`), every rotation of a batch reuses
+    these raised slices directly, forward transform included.
     """
     if not poly.is_ntt:
         raise ValueError("raise_decomposition expects an NTT polynomial")
@@ -299,9 +181,11 @@ def p_scaled_extension(poly: RnsPolynomial, level: int,
     columns; the special-prime rows are zero (``P = 0 mod p_j``).  The
     result lives in the same ``P``-scaled representation as a
     :func:`key_switch_accumulate` pair, so the two can be combined
-    linearly before a single shared :func:`mod_down_pair` — the
+    linearly and lowered by one shared :func:`mod_down` - the
     double-hoisting identity ``mod_down(P*x + acc) == x + mod_down(acc)``
-    up to the BConv approximation the special modulus absorbs.
+    holds up to the BConv approximation the special modulus absorbs,
+    and exactly for ``acc = 0`` (the special-prime rows of ``P*x`` are
+    zero).
     """
     if not poly.is_ntt:
         raise ValueError("p_scaled_extension expects an NTT polynomial")
@@ -322,7 +206,7 @@ def galois_raised(raised: list[RnsPolynomial],
     the cached evaluation-point gather — no transform, no sign
     corrections.  Feeding the output to :func:`key_switch_raised` is
     bit-identical to raising the coefficient-permuted polynomial from
-    scratch (and to the :func:`raise_hoisted` oracle), because the
+    scratch (and to the coefficient-domain hoist oracle), because the
     automorphism commutes with the coefficient-wise ModUp and the
     gather commutes with the forward NTT.
     """
@@ -337,7 +221,7 @@ def key_switch_accumulate(raised: list[RnsPolynomial], evk: EvaluationKey,
     Returns the ``(b, a)`` accumulator pair over the extended working
     base C_level + B; it represents ``P`` times the key-switch
     contribution.  Callers either hand the pair straight to
-    :func:`mod_down_pair` (what :func:`key_switch_raised` does) or — the
+    :func:`mod_down` (what :func:`key_switch_raised` does) or — the
     double-hoisting trick — keep several such pairs in the extended
     base, combine them linearly (plaintext multiplies, additions), and
     ModDown once for the whole combination.
@@ -379,7 +263,8 @@ def key_switch_raised(raised: list[RnsPolynomial], evk: EvaluationKey,
                       ) -> tuple[RnsPolynomial, RnsPolynomial]:
     """Finish key-switching from pre-raised slices (x evk, ModDown)."""
     acc_b, acc_a = key_switch_accumulate(raised, evk, level, ring)
-    return mod_down_pair(acc_b, acc_a, level, ring)
+    ks_b, ks_a = mod_down([acc_b, acc_a], level, ring)
+    return ks_b, ks_a
 
 
 def key_switch(poly: RnsPolynomial, evk: EvaluationKey, level: int,

@@ -21,7 +21,7 @@ from repro.ckks.evaluator import Evaluator
 from repro.ckks.keyswitch import (
     galois_raised,
     key_switch_accumulate,
-    mod_down_pair,
+    mod_down,
     p_scaled_extension,
     raise_decomposition,
 )
@@ -90,9 +90,9 @@ class LinearTransform:
         return bsgs_rotations(self.diagonals, self.n_slots)
 
     #: Distinct (base, scale) generations the diagonal cache retains.
-    #: CoeffToSlot/SlotToCoeff apply at one fixed level (two generations
-    #: cover the eager Q and double-hoisted QP bases); a caller sweeping
-    #: levels evicts the oldest generation instead of growing unboundedly.
+    #: CoeffToSlot/SlotToCoeff apply at one fixed level; a caller
+    #: sweeping levels evicts the oldest generation instead of growing
+    #: unboundedly.
     _CACHE_GENERATIONS = 4
 
     def _encoded_diagonal(self, evaluator: Evaluator, d: int, giant: int,
@@ -111,83 +111,40 @@ class LinearTransform:
             generation[(d, giant)] = cached
         return cached
 
-    def apply(self, evaluator: Evaluator, ct: Ciphertext,
-              double_hoist: bool = True) -> Ciphertext:
+    def apply(self, evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:
         """Homomorphic ``M z`` (one level consumed; output rescaled).
 
-        ``double_hoist=True`` (default) runs the Lattigo-style
-        double-hoisted BSGS: the baby-step rotations share one
-        NTT-domain raise of ``ct.a`` *and* stay in the extended base
-        ``C_level + B`` without ModDown — each giant group accumulates
-        its plaintext-weighted baby terms there and pays a single
-        ModDown, so an n1 x n2 plan performs ``n2`` inner-sum ModDowns
-        instead of ``n1`` baby ModDowns.  The ModDown's BConv
-        approximation then enters once per group instead of once per
-        baby, which shifts the (noise-level) rounding slightly;
-        ``double_hoist=False`` keeps the PR-3 eager path as the
-        reference, and the two agree to well below the noise floor.
+        Runs the Lattigo-style double-hoisted BSGS: the baby-step
+        rotations share one NTT-domain raise of ``ct.a`` *and* stay in
+        the extended base ``C_level + B`` without ModDown.  Baby steps
+        are kept as ``(P*phi_b(ct.b) - ks_b, ks_a)`` pairs — the
+        key-switch accumulators *before* ModDown — shared across every
+        giant group; each group multiplies them by its pre-rotated
+        plaintext diagonals (encoded over ``C_level + B``), accumulates,
+        and ModDowns the group sum once.  An n1 x n2 plan therefore
+        performs ``n2`` inner-sum ModDowns instead of ``n1`` baby
+        ModDowns, and the ModDown's BConv approximation enters once per
+        group instead of once per baby; the eager route
+        (``tests/oracles/bsgs.py``) agrees to well below the noise
+        floor.
         """
         n = self.n_slots
         if ct.n_slots != n:
             raise ValueError(
                 f"transform is {n}-slot but ciphertext has {ct.n_slots}")
         g = bsgs_split(n)
-        baby_needed = sorted({d % g for d in self.diagonals})
-
         # Giant steps: group diagonals by their giant offset.
         groups: dict[int, list[int]] = {}
         for d in self.diagonals:
             groups.setdefault(d - d % g, []).append(d)
-
-        level = ct.level
-        pmult_scale = float(evaluator.ring.q_primes[level].value)
-        if double_hoist:
-            return self._apply_double_hoisted(
-                evaluator, ct, g, baby_needed, groups, level, pmult_scale)
-
-        # Eager reference path: baby steps fully key-switched (one
-        # shared raise, but one ModDown per baby), then PMult in C_level.
-        babies = evaluator.rotate_hoisted(ct, baby_needed)
-        acc: Ciphertext | None = None
-        for giant in sorted(groups):
-            inner: Ciphertext | None = None
-            for d in groups[giant]:
-                # Pre-rotate the plaintext diagonal so one giant HRot at the
-                # end covers the whole group: rot_{giant}(x * rot_b(z)) ==
-                # diag_d * rot_d(z) when x = roll(diag_d, giant).
-                pt = self._encoded_diagonal(
-                    evaluator, d, giant, evaluator.ring.base_q(level),
-                    pmult_scale)
-                term = evaluator.multiply_plain(babies[d % g], pt)
-                inner = term if inner is None else evaluator.add(inner, term)
-            assert inner is not None
-            if giant % n:
-                inner = evaluator.rotate(inner, giant % n)
-            acc = inner if acc is None else evaluator.add(acc, inner)
-        if acc is None:
-            raise ValueError("transform has no nonzero diagonals")
-        return evaluator.rescale(acc)
-
-    def _apply_double_hoisted(self, evaluator: Evaluator, ct: Ciphertext,
-                              g: int, baby_needed: list[int],
-                              groups: dict[int, list[int]], level: int,
-                              pmult_scale: float) -> Ciphertext:
-        """Double-hoisted BSGS body (see :meth:`apply`).
-
-        Baby rotations are kept in the ``P``-scaled extended base as
-        ``(P*phi_b(ct.b) - ks_b, -ks_a)`` pairs — the key-switch
-        accumulators *before* ModDown — shared across every giant
-        group; each group multiplies them by its pre-rotated plaintext
-        diagonals (encoded over ``C_level + B``), accumulates, and
-        ModDowns the group sum once.
-        """
         if not groups:
             raise ValueError("transform has no nonzero diagonals")
         ring = evaluator.ring
-        n = self.n_slots
+        level = ct.level
+        pmult_scale = float(ring.q_primes[level].value)
         raised = raise_decomposition(ct.a, level, ring)
         lazy: dict[int, tuple] = {}
-        for baby in baby_needed:
+        for baby in sorted({d % g for d in self.diagonals}):
             if baby == 0:
                 # The un-rotated term needs no key-switch: P-scale both
                 # halves so they mix with the accumulators (and ModDown
@@ -208,6 +165,10 @@ class LinearTransform:
         for giant in sorted(groups):
             acc_b = acc_a = None
             for d in groups[giant]:
+                # Pre-rotate the plaintext diagonal so one giant HRot at
+                # the end covers the whole group: rot_{giant}(x *
+                # rot_b(z)) == diag_d * rot_d(z) when x = roll(diag_d,
+                # giant).
                 pt = self._encoded_diagonal(evaluator, d, giant, base_qp,
                                             pmult_scale)
                 lazy_b, lazy_a = lazy[d % g]
@@ -215,7 +176,7 @@ class LinearTransform:
                 term_a = lazy_a.mul(pt.poly)
                 acc_b = term_b if acc_b is None else acc_b.add(term_b)
                 acc_a = term_a if acc_a is None else acc_a.add(term_a)
-            inner_b, inner_a = mod_down_pair(acc_b, acc_a, level, ring)
+            inner_b, inner_a = mod_down([acc_b, acc_a], level, ring)
             # Sign convention: lazy pairs store (b-half, ks_a); the
             # ciphertext's a-half is -ks_a, folded here after ModDown.
             inner = Ciphertext(inner_b, inner_a.neg(),

@@ -248,25 +248,13 @@ class RnsPolynomial:
             out[:, neg_dst] = neg_mod(gathered, self.moduli, out=gathered)
         return RnsPolynomial(self.base, out, False)
 
-    def galois_coeff(self, galois_elt: int) -> "RnsPolynomial":
-        """Force the coefficient-domain automorphism (test oracle hook).
-
-        The NTT-domain gather in :meth:`galois` is differentially tested
-        against this explicit coefficient-domain route
-        (iNTT -> permute -> NTT); production code should just call
-        :meth:`galois`.
-        """
-        if not self.is_ntt:
-            return self.galois(galois_elt)
-        return self.from_ntt().galois(galois_elt).to_ntt()
-
 
 class StackedTransform:
     """One shared batched NTT over several limb-stacked polynomials.
 
-    ModUp's per-slice complement conversions and ModDown's ``(b, a)``
-    accumulator pair each need the *same* transform applied to several
-    residue matrices; concatenating them along the limb axis and running
+    ModUp's per-slice complement conversions and the polynomials one
+    ModDown lowers together each need the *same* transform applied to
+    several residue matrices; concatenating them along the limb axis and running
     a single batched transform per base amortizes the per-stage NumPy
     dispatch cost across every stacked limb — the software analogue of
     the BTS NTTU streaming independent limb groups through one butterfly

@@ -463,6 +463,20 @@ def plan_cache_key(program: Program, config: PlannerConfig,
     return h.hexdigest()
 
 
+@dataclass
+class PlanEntry:
+    """One plan-cache slot: a compiled plan plus state derived from it.
+
+    Callers attach per-plan sidecar state here (the serving scheduler
+    keeps its admission estimate and noise profile on the entry), so
+    one LRU eviction drops that state together with the plan.
+    """
+
+    plan: Plan
+    estimate_s: float | None = None  #: priced accelerator seconds
+    noise_profile: object = None     #: a repro.obs PlanNoiseProfile
+
+
 class PlanCache:
     """LRU cache of compiled plans keyed by :func:`plan_cache_key`.
 
@@ -476,34 +490,42 @@ class PlanCache:
         if capacity < 1:
             raise ValueError("plan cache capacity must be >= 1")
         self.capacity = capacity
-        self._plans: OrderedDict[str, Plan] = OrderedDict()
+        self._entries: OrderedDict[str, PlanEntry] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._plans)
+        return len(self._entries)
 
     def get(self, program: Program, config: PlannerConfig,
             params_digest: str = "") -> tuple[Plan, bool, str]:
         """Return ``(plan, was_cached, cache_key)``, planning on a miss.
 
-        The key is handed back so callers that maintain sidecar state
-        (the scheduler's admission-estimate cache) reuse it instead of
-        re-walking the program for a second structural hash.
+        The key is handed back so callers that keep sidecar state on the
+        entry (:meth:`entry`) reuse it instead of re-walking the program
+        for a second structural hash.
         """
         key = plan_cache_key(program, config, params_digest)
-        plan = self._plans.get(key)
-        if plan is not None:
-            self._plans.move_to_end(key)
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
             self.hits += 1
-            return plan, True, key
+            return entry.plan, True, key
         plan = plan_program(program, config)
-        self._plans[key] = plan
+        self._entries[key] = PlanEntry(plan)
         self.misses += 1
-        while len(self._plans) > self.capacity:
-            self._plans.popitem(last=False)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
         return plan, False, key
 
+    def entry(self, key: str) -> PlanEntry | None:
+        """The resident entry for ``key``, or ``None`` once evicted.
+
+        A peek: it neither refreshes the entry's LRU position nor counts
+        as a hit or a miss.
+        """
+        return self._entries.get(key)
+
     def stats(self) -> dict[str, int]:
-        return {"entries": len(self._plans), "hits": self.hits,
+        return {"entries": len(self._entries), "hits": self.hits,
                 "misses": self.misses, "capacity": self.capacity}

@@ -293,8 +293,9 @@ class RequestScheduler:
         self.registry = registry
         self.config = config or ServiceConfig()
         self.ring = registry.ring
+        # Per-plan admission estimates and noise profiles live on the
+        # plan-cache entries, so LRU eviction bounds them with the plans.
         self.plan_cache = PlanCache(self.config.plan_cache_size)
-        self._estimates: dict[str, float] = {}
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, self.config.workers),
             thread_name_prefix="fhe-worker")
@@ -325,11 +326,10 @@ class RequestScheduler:
         self.events = self.config.events
         # Noise profiles are pure functions of the plan (input level and
         # scale are fixed by the planner's meta), so one tracker serves
-        # every tenant and profiles cache by plan-cache key alongside
-        # the admission estimates.
+        # every tenant and profiles cache on the plan-cache entry
+        # alongside the admission estimates.
         self.noise_tracker = NoiseTracker.from_ring(
             self.ring, message_bound=self.config.noise_message_bound)
-        self._noise_profiles: dict[str, PlanNoiseProfile] = {}
         self._tenant_min_headroom: dict[str, float] = {}
         slow = self.config.calibration_slow_factor
         if slow is None:
@@ -506,16 +506,20 @@ class RequestScheduler:
     def _priced_cost(self, request: JobRequest) -> float:
         """Simulator-priced seconds a submit holds against the backlog.
 
-        Steady state (admission on, plan seen before) this is one dict
-        lookup against the admission-estimate cache; cold jobs — and
-        every job when admission is off — are held at
+        Steady state (admission on, plan resident) this is one peek at
+        the plan-cache entry's admission estimate, which neither counts
+        as a cache hit or miss nor refreshes the entry; cold or evicted
+        plans — and every job when admission is off — are held at
         ``default_job_cost_s`` so the job-count bound still applies.
         """
-        if not self._estimates:
+        if self.config.max_job_seconds is None:
             return self.config.default_job_cost_s
         key = plan_cache_key(request.program, self._planner_config(),
                              self.ring.params.digest)
-        return self._estimates.get(key, self.config.default_job_cost_s)
+        entry = self.plan_cache.entry(key)
+        if entry is None or entry.estimate_s is None:
+            return self.config.default_job_cost_s
+        return entry.estimate_s
 
     def _breaker(self, tenant: str) -> CircuitBreaker:
         breaker = self._breakers.get(tenant)
@@ -644,23 +648,25 @@ class RequestScheduler:
                     f"{self.config.max_job_seconds * 1e3:.2f} ms")
 
     def _estimate_seconds(self, plan: Plan, cache_key: str) -> float:
-        """BTS cycle estimate for a plan, cached by its plan-cache key.
+        """BTS cycle estimate for a plan, cached on its plan-cache entry.
 
         ``admission_params`` is fixed for the scheduler's lifetime, so
         the plan-cache key (already computed by :meth:`PlanCache.get`)
         is a sufficient estimate key — steady-state admission really is
-        one dict lookup.
+        one lookup.
         """
-        cached = self._estimates.get(cache_key)
-        if cached is None:
-            from repro.core.simulator import BtsSimulator
-            from repro.runtime.lowering import lower_to_trace
+        entry = self.plan_cache.entry(cache_key)
+        if entry is not None and entry.estimate_s is not None:
+            return entry.estimate_s
+        from repro.core.simulator import BtsSimulator
+        from repro.runtime.lowering import lower_to_trace
 
-            params = self.config.admission_params or CkksParams.ins2()
-            lowered = lower_to_trace(plan, params)
-            cached = BtsSimulator(params).run(lowered.trace).total_seconds
-            self._estimates[cache_key] = cached
-        return cached
+        params = self.config.admission_params or CkksParams.ins2()
+        lowered = lower_to_trace(plan, params)
+        estimate = BtsSimulator(params).run(lowered.trace).total_seconds
+        if entry is not None:
+            entry.estimate_s = estimate
+        return estimate
 
     def _reject(self, job: _Job, exc: Exception) -> None:
         """Fail one job's future from a worker thread (admission path)."""
@@ -983,19 +989,20 @@ class RequestScheduler:
             precision_at_risk=risk)
 
     def _noise_profile(self, job: _Job) -> PlanNoiseProfile:
-        """Per-node analytic noise profile, cached by plan-cache key.
+        """Per-node analytic noise profile, cached on the plan-cache entry.
 
         Pure function of the plan (the planner's meta fixes every input
-        level and scale), so cache hits cost one dict lookup and a
-        benign double-compute on a cold race is idempotent.
+        level and scale), so cache hits cost one lookup and a benign
+        double-compute on a cold race is idempotent.  A plan evicted
+        while its job ran is profiled without caching.
         """
-        key = job.cache_key
-        if key is None:
-            return self.noise_tracker.profile(job.plan)
-        profile = self._noise_profiles.get(key)
-        if profile is None:
-            profile = self.noise_tracker.profile(job.plan)
-            self._noise_profiles[key] = profile
+        entry = (self.plan_cache.entry(job.cache_key)
+                 if job.cache_key is not None else None)
+        if entry is not None and entry.noise_profile is not None:
+            return entry.noise_profile
+        profile = self.noise_tracker.profile(job.plan)
+        if entry is not None:
+            entry.noise_profile = profile
         return profile
 
     def _score_numeric_health(

@@ -28,6 +28,7 @@ from repro.ckks.ntt import (
 from repro.ckks.primes import ntt_friendly_primes
 from repro.ckks.rns import RnsPolynomial
 from tests.conftest import encrypt_message
+from tests.oracles.galois import galois_coeff, rotate_hoisted_coeff
 
 SCALE = 2.0 ** 40
 
@@ -142,7 +143,7 @@ class TestGatherEqualsOracle:
         poly = RnsPolynomial(base, residues, is_ntt=True)
         for g in (5, pow(5, 7, 2 * small_ring.n), 2 * small_ring.n - 1):
             assert np.array_equal(poly.galois(g).residues,
-                                  poly.galois_coeff(g).residues)
+                                  galois_coeff(poly, g).residues)
 
 
 def _single_prime_base(ctx: NttContext):
@@ -153,35 +154,30 @@ def _single_prime_base(ctx: NttContext):
                          ntt=ctx, kind="q", index=0),)
 
 
-@pytest.mark.slow
 class TestTripleRouteEquivalence:
     """sequential == coefficient-hoisted == NTT-domain, bit for bit.
 
     All three rotation routes must produce identical ciphertext
-    residues: `rotate` (NTT-domain, per-op raise), `rotate_hoisted`
-    with domain="ntt" (shared raise) and domain="coeff" (the PR-3
-    oracle: shared iNTT/BConv, per-op forward transform).
+    residues: `rotate` (NTT-domain, per-op raise), `galois_hoisted`
+    (shared NTT-domain raise) and the coefficient-domain hoist oracle
+    (`tests.oracles.galois.rotate_hoisted_coeff`: shared iNTT/BConv,
+    per-op forward transform).  The fixed case runs on every push; the
+    hypothesis sweep is slow.
     """
 
-    @given(amounts=st.lists(st.sampled_from([1, 2, 3, 4, 8, 16]),
-                            min_size=1, max_size=4),
-           seed=st.integers(min_value=0, max_value=2 ** 16),
-           level_drop=st.integers(min_value=0, max_value=3))
-    @settings(max_examples=12, deadline=None)
-    def test_triple_equivalence(self, amounts, seed, level_drop,
-                                small_evaluator, small_keys,
-                                small_encoder, small_params):
+    @staticmethod
+    def _check_routes(evaluator, keys, encoder, params, amounts, seed,
+                      level_drop):
         gen = np.random.default_rng(seed)
-        z = gen.normal(size=small_params.slots_max) \
-            + 1j * gen.normal(size=small_params.slots_max)
-        ct = encrypt_message(small_keys, small_encoder, z, SCALE)
+        z = gen.normal(size=params.slots_max) \
+            + 1j * gen.normal(size=params.slots_max)
+        ct = encrypt_message(keys, encoder, z, SCALE)
         if level_drop:
-            ct = small_evaluator.drop_to_level(ct, ct.level - level_drop)
-        ntt_batch = small_evaluator.rotate_hoisted(ct, amounts)
-        coeff_batch = small_evaluator.rotate_hoisted(ct, amounts,
-                                                     domain="coeff")
+            ct = evaluator.drop_to_level(ct, ct.level - level_drop)
+        ntt_batch, _ = evaluator.galois_hoisted(ct, amounts)
+        coeff_batch = rotate_hoisted_coeff(evaluator, ct, amounts)
         for amount in set(amounts):
-            sequential = small_evaluator.rotate(ct, amount)
+            sequential = evaluator.rotate(ct, amount)
             for got in (ntt_batch[amount], coeff_batch[amount]):
                 assert got.level == sequential.level
                 assert got.scale == sequential.scale
@@ -190,6 +186,30 @@ class TestTripleRouteEquivalence:
                 assert np.array_equal(got.a.residues,
                                       sequential.a.residues)
 
+    @pytest.mark.parametrize(
+        "sweep", [False, pytest.param(True, marks=pytest.mark.slow)],
+        ids=["fixed", "sweep"])
+    def test_triple_equivalence(self, sweep, small_evaluator, small_keys,
+                                small_encoder, small_params):
+        def check(amounts, seed, level_drop):
+            self._check_routes(small_evaluator, small_keys, small_encoder,
+                               small_params, amounts, seed, level_drop)
+
+        if not sweep:
+            check([1, 2, 3], seed=0, level_drop=0)
+            return
+
+        @given(amounts=st.lists(st.sampled_from([1, 2, 3, 4, 8, 16]),
+                                min_size=1, max_size=4),
+               seed=st.integers(min_value=0, max_value=2 ** 16),
+               level_drop=st.integers(min_value=0, max_value=3))
+        @settings(max_examples=12, deadline=None)
+        def sweep_routes(amounts, seed, level_drop):
+            check(amounts, seed, level_drop)
+
+        sweep_routes()
+
+    @pytest.mark.slow
     def test_conjugation_in_batch_matches_standalone(
             self, small_evaluator, small_keys, small_encoder, rng,
             small_params):
@@ -205,13 +225,6 @@ class TestTripleRouteEquivalence:
             want = small_evaluator.rotate(ct, amount)
             assert np.array_equal(rotations[amount].b.residues,
                                   want.b.residues)
-
-    def test_invalid_domain_rejected(self, small_evaluator, small_keys,
-                                     small_encoder, rng, small_params):
-        z = rng.normal(size=small_params.slots_max) + 0j
-        ct = encrypt_message(small_keys, small_encoder, z, SCALE)
-        with pytest.raises(ValueError):
-            small_evaluator.rotate_hoisted(ct, [1], domain="evaluation")
 
 
 class TestMonomialShift:

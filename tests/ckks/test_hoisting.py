@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckks.keyswitch import (
-    hoist_decomposition,
     key_switch,
     key_switch_raised,
     raise_decomposition,
-    raise_hoisted,
 )
 from repro.ckks.rns import RnsPolynomial
 from tests.conftest import encrypt_message
+from tests.oracles.galois import hoist_decomposition, raise_hoisted
 
 SCALE = 2.0 ** 40
 
@@ -78,7 +77,7 @@ class TestHoistedRotation:
             + 1j * rng.normal(size=small_params.slots_max)
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
         amounts = [1, 2, 4]
-        hoisted = small_evaluator.rotate_hoisted(ct, amounts)
+        hoisted = small_evaluator.galois_hoisted(ct, amounts)[0]
         for amount in amounts:
             want = small_evaluator.decrypt_to_message(
                 small_evaluator.rotate(ct, amount), small_keys.secret)
@@ -91,7 +90,7 @@ class TestHoistedRotation:
         z = rng.normal(size=small_params.slots_max) \
             + 1j * rng.normal(size=small_params.slots_max)
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
-        hoisted = small_evaluator.rotate_hoisted(ct, [2, 3])
+        hoisted = small_evaluator.galois_hoisted(ct, [2, 3])[0]
         for amount in (2, 3):
             got = small_evaluator.decrypt_to_message(hoisted[amount],
                                                      small_keys.secret)
@@ -101,7 +100,7 @@ class TestHoistedRotation:
                                   small_encoder, rng, small_params):
         z = rng.normal(size=small_params.slots_max) + 0j
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
-        hoisted = small_evaluator.rotate_hoisted(ct, [0, 1])
+        hoisted = small_evaluator.galois_hoisted(ct, [0, 1])[0]
         got = small_evaluator.decrypt_to_message(hoisted[0],
                                                  small_keys.secret)
         assert np.max(np.abs(got - z)) < 1e-6
@@ -111,7 +110,7 @@ class TestHoistedRotation:
                                             rng, small_params):
         z = rng.normal(size=small_params.slots_max) + 0j
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
-        hoisted = small_evaluator.rotate_hoisted(ct, [1, 1, 1])
+        hoisted = small_evaluator.galois_hoisted(ct, [1, 1, 1])[0]
         assert set(hoisted) == {1}
 
     def test_missing_key_rejected(self, small_evaluator, small_keys,
@@ -119,14 +118,14 @@ class TestHoistedRotation:
         z = rng.normal(size=small_params.slots_max) + 0j
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
         with pytest.raises(ValueError):
-            small_evaluator.rotate_hoisted(ct, [7])
+            small_evaluator.galois_hoisted(ct, [7])
 
     def test_works_at_lower_level(self, small_evaluator, small_keys,
                                   small_encoder, rng, small_params):
         z = rng.normal(size=small_params.slots_max) + 0j
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
         low = small_evaluator.drop_to_level(ct, 2)
-        hoisted = small_evaluator.rotate_hoisted(low, [1])
+        hoisted = small_evaluator.galois_hoisted(low, [1])[0]
         got = small_evaluator.decrypt_to_message(hoisted[1],
                                                  small_keys.secret)
         assert np.max(np.abs(got - np.roll(z, -1))) < 1e-6
@@ -134,12 +133,13 @@ class TestHoistedRotation:
 
 @pytest.mark.slow
 class TestHoistedBitIdentity:
-    """Invariant: rotate_hoisted(ct, rots) == {r: rotate(ct, r)} bitwise.
+    """Invariant: galois_hoisted(ct, rots) == {r: rotate(ct, r)} bitwise.
 
-    Both paths funnel through ``Evaluator._galois_from_hoisted``; the
-    only difference is whether the decompose/ModUp half is shared, and
-    that half is a deterministic function of ``ct.a``.  Any residue
-    mismatch means the shared half leaked rotation-dependent state.
+    Both paths funnel through ``Evaluator._galois_from_raised``; the
+    only difference is whether the raised decomposition is shared, and
+    it is a deterministic function of ``ct.a``.  Any residue mismatch
+    means the shared half leaked rotation-dependent state.  The
+    coefficient-domain hoist halves come from ``tests.oracles.galois``.
     """
 
     @given(amounts=st.lists(st.sampled_from([1, 2, 3, 4, 8, 16]),
@@ -156,7 +156,7 @@ class TestHoistedBitIdentity:
         ct = encrypt_message(small_keys, small_encoder, z, SCALE)
         if level_drop:
             ct = small_evaluator.drop_to_level(ct, ct.level - level_drop)
-        hoisted = small_evaluator.rotate_hoisted(ct, amounts)
+        hoisted = small_evaluator.galois_hoisted(ct, amounts)[0]
         for amount in set(amounts):
             want = small_evaluator.rotate(ct, amount)
             got = hoisted[amount]

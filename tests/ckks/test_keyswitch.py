@@ -60,7 +60,8 @@ class TestModDown:
         x = RnsPolynomial.from_signed_coeffs(coeffs, base)
         p_prod = small_ring.p_product
         px = x.mul_int(p_prod).to_ntt()
-        down = mod_down(px, level, small_ring).from_ntt()
+        [down] = mod_down([px], level, small_ring)
+        down = down.from_ntt()
         rec = crt_reconstruct(down)
         err = np.abs(rec.astype(np.float64)
                      - coeffs.astype(np.float64))
@@ -68,7 +69,7 @@ class TestModDown:
 
     def test_output_base(self, small_ring):
         poly = _uniform(small_ring, small_ring.base_qp(3), 4)
-        out = mod_down(poly, 3, small_ring)
+        [out] = mod_down([poly], 3, small_ring)
         assert out.base == small_ring.base_q(3)
 
 

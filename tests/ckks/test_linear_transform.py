@@ -10,6 +10,7 @@ from repro.ckks.linear_transform import (
     matrix_diagonals,
 )
 from tests.conftest import encrypt_message
+from tests.oracles.bsgs import apply_eager
 
 SCALE = 2.0 ** 40
 
@@ -126,7 +127,7 @@ class TestHomomorphicApply:
 
 
 class TestDoubleHoisting:
-    """Lazy giant-step accumulation vs the eager reference path.
+    """Lazy giant-step accumulation vs the eager oracle (tests/oracles).
 
     Double-hoisting reorders where the ModDown BConv approximation
     enters (once per giant group instead of once per baby step), so the
@@ -153,8 +154,8 @@ class TestDoubleHoisting:
             ct = ev.drop_to_level(
                 encrypt_message(small_keys, small_encoder, z, SCALE),
                 level)
-            lazy = lt.apply(ev, ct, double_hoist=True)
-            eager = lt.apply(ev, ct, double_hoist=False)
+            lazy = lt.apply(ev, ct)
+            eager = apply_eager(lt, ev, ct)
             assert lazy.level == eager.level
             assert lazy.scale == eager.scale
             got = ev.decrypt_to_message(lazy, small_keys.secret)
@@ -174,7 +175,7 @@ class TestDoubleHoisting:
             for p in base]), is_ntt=True)
         extended = p_scaled_extension(poly, level, small_ring)
         assert np.all(extended.residues[level + 1:] == 0)
-        back = mod_down(extended, level, small_ring)
+        [back] = mod_down([extended], level, small_ring)
         assert np.array_equal(back.residues, poly.residues)
 
     def test_p_scaled_extension_requires_ntt(self, small_ring, rng):
@@ -190,11 +191,11 @@ class TestDoubleHoisting:
 
     def test_accumulate_then_moddown_equals_key_switch_raised(
             self, small_ring, small_keys, rng):
-        """key_switch_raised == mod_down_pair(key_switch_accumulate)."""
+        """key_switch_raised == mod_down(key_switch_accumulate)."""
         from repro.ckks.keyswitch import (
             key_switch_accumulate,
             key_switch_raised,
-            mod_down_pair,
+            mod_down,
             raise_decomposition,
         )
         from repro.ckks.rns import RnsPolynomial
@@ -209,6 +210,6 @@ class TestDoubleHoisting:
         b1, a1 = key_switch_raised(raised, evk, level, small_ring)
         acc_b, acc_a = key_switch_accumulate(raised, evk, level,
                                              small_ring)
-        b2, a2 = mod_down_pair(acc_b, acc_a, level, small_ring)
+        b2, a2 = mod_down([acc_b, acc_a], level, small_ring)
         assert np.array_equal(b1.residues, b2.residues)
         assert np.array_equal(a1.residues, a2.residues)

@@ -262,25 +262,30 @@ class TestModUpModDownInvariants:
             x_qp = RnsPolynomial.from_signed_coeffs(
                 coeffs, ring.base_qp(level))
             y = x_qp.mul_int(ring.p_product).to_ntt()
-            got = mod_down(y, level, ring).from_ntt()
+            [got] = mod_down([y], level, ring)
+            got = got.from_ntt()
             want = RnsPolynomial.from_signed_coeffs(
                 coeffs, ring.base_q(level))
             assert got.base == want.base
             assert np.array_equal(got.residues, want.residues)
 
-    @given(st.integers(min_value=0, max_value=2**32))
+    @given(st.integers(min_value=0, max_value=2**32),
+           st.integers(min_value=1, max_value=4))
     @settings(max_examples=10, deadline=None)
-    def test_mod_down_pair_bit_identical_to_singles(self, seed):
-        from repro.ckks.keyswitch import mod_down, mod_down_pair
+    def test_mod_down_pair_bit_identical_to_singles(self, seed, width):
+        """Stacked mod_down of ``width`` polys == per-poly ModDowns."""
+        from repro.ckks.keyswitch import mod_down
+        from tests.oracles.moddown import mod_down_single
         from tests.property._shared import shared_setup
         ring, _, _, _ = shared_setup()
         rng = np.random.default_rng(seed)
         for level in (0, 2, ring.max_level):
             base = ring.base_qp(level)
-            pb = _random_poly(ring, base, rng, is_ntt=True)
-            pa = _random_poly(ring, base, rng, is_ntt=True)
-            got_b, got_a = mod_down_pair(pb, pa, level, ring)
-            want_b = mod_down(pb, level, ring)
-            want_a = mod_down(pa, level, ring)
-            assert np.array_equal(got_b.residues, want_b.residues)
-            assert np.array_equal(got_a.residues, want_a.residues)
+            polys = [_random_poly(ring, base, rng, is_ntt=True)
+                     for _ in range(width)]
+            got = mod_down(polys, level, ring)
+            assert len(got) == width
+            for poly, out in zip(polys, got):
+                want = mod_down_single(poly, level, ring)
+                assert out.base == want.base
+                assert np.array_equal(out.residues, want.residues)

@@ -4,7 +4,7 @@ The executor adds batching (hoisted rotations), reference-counted
 freeing and metadata validation on top of plain Evaluator calls.  The
 reference interpreter below strips all of that away: it walks the same
 plan one node at a time with individual eager calls and keeps every
-value alive.  The two must agree *bit for bit* — `rotate_hoisted` is
+value alive.  The two must agree *bit for bit* — `galois_hoisted` is
 bit-identical to `rotate` by construction, and everything else is the
 same arithmetic — so any divergence is an executor bug, not noise.
 """

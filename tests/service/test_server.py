@@ -136,6 +136,41 @@ class TestAdmission:
         assert 0 < result.estimated_seconds < 10.0
         server.shutdown()
 
+    def test_per_plan_state_evicted_with_the_plan(self, make_server,
+                                                  make_client):
+        """Estimates and noise profiles are bounded by the plan cache."""
+        server = make_server(config=ServiceConfig(max_job_seconds=10.0,
+                                                  plan_cache_size=4))
+        client = make_client("alice", 11)
+        server.open_session("alice")
+        server.register_keys("alice", relin=client.relin_blob(),
+                             galois=client.galois_blob({1}))
+        blob = client.encrypt_blob(np.zeros(8))
+        requests = [JobRequest("alice",
+                               stencil_program([1], taps=[0.25 + i / 64]),
+                               {"x": blob})
+                    for i in range(20)]
+        for request in requests:
+            server.serve([request])
+        cache = server.scheduler.plan_cache
+        entries = list(cache._entries.values())
+        assert len(entries) <= 4
+        assert sum(e.estimate_s is not None for e in entries) <= 4
+        assert sum(e.noise_profile is not None for e in entries) <= 4
+        # The newest plan is resident with both sidecars attached, and
+        # pricing it reads the cached estimate without a cache hit/miss.
+        last = entries[-1]
+        assert last.estimate_s is not None
+        assert last.noise_profile is not None
+        before = cache.stats()
+        assert server.scheduler._priced_cost(requests[-1]) \
+            == last.estimate_s
+        assert cache.stats() == before
+        # An evicted plan is priced at the cold default.
+        assert server.scheduler._priced_cost(requests[0]) \
+            == server.scheduler.config.default_job_cost_s
+        server.shutdown()
+
     def test_missing_relin_key_rejected(self, make_server, make_client):
         server = make_server()
         client = make_client("alice", 11)

@@ -107,6 +107,48 @@ def build_hmult_fixture():
     return ring, kg, ev, ct, ct_other
 
 
+class _CountingLib:
+    """Stands in for the native library: forwards every kernel, counting."""
+
+    def __init__(self, lib) -> None:
+        self._lib = lib
+        self.calls = 0
+
+    def __getattr__(self, name: str):
+        kernel = getattr(self._lib, name)
+
+        def counted(*args):
+            self.calls += 1
+            return kernel(*args)
+
+        return counted
+
+
+def native_dispatches(fn) -> int:
+    """Calls ``fn`` once and returns how many native kernel calls it made.
+
+    Every dispatch into the C library goes through the loaded handle's
+    ``lib`` attribute, so swapping in a counting proxy for the duration
+    of the call counts them all.  A static work count: unlike wall-clock
+    it repeats exactly, so a fused kernel's saving (or a regression that
+    splits one call into many) shows on any host.  0 under the NumPy
+    backend.
+    """
+    from repro.ckks.modmath import _active_native
+
+    handle = _active_native()
+    if handle is None:
+        fn()
+        return 0
+    counter = _CountingLib(handle.lib)
+    handle.lib = counter
+    try:
+        fn()
+    finally:
+        handle.lib = counter._lib
+    return counter.calls
+
+
 def bench_ntt(ring, reps: int) -> dict[str, tuple[float, int]]:
     rng = np.random.default_rng(3)
     prime = ring.q_primes[0]
@@ -406,7 +448,8 @@ def bench_precision_calibration(ring, kg, ev, smoke: bool) -> dict:
     return probe.summary()
 
 
-def bench_bootstrap_small(reps: int) -> dict[str, tuple[float, int]]:
+def bench_bootstrap_small(reps: int
+                          ) -> tuple[dict[str, tuple[float, int]], int]:
     from repro.ckks.bootstrap import BootstrapConfig, Bootstrapper
     from repro.ckks.encoder import Encoder
     from repro.ckks.evaluator import Evaluator
@@ -436,6 +479,7 @@ def bench_bootstrap_small(reps: int) -> dict[str, tuple[float, int]]:
     # what the trajectory tracks; the first run additionally builds the
     # per-level stacked-NTT twiddle planes, a one-time context cost.
     out = {"bootstrap_small": (_median_seconds(run, reps, warmup=1), reps)}
+    dispatches = native_dispatches(run)
     got = ev.decrypt_to_message(result[0], kg.secret)
     err = float(np.max(np.abs(got - z)))
     if err > 5e-2:  # sanity: a fast-but-wrong bootstrap must not pass
@@ -453,7 +497,7 @@ def bench_bootstrap_small(reps: int) -> dict[str, tuple[float, int]]:
                                 2.0 ** 40, 32)
     out["coeff_to_slot_32"] = (
         _median_seconds(lambda: bs32.coeff_to_slot(ct32), reps), reps)
-    return out
+    return out, dispatches
 
 
 def check_regressions(kernels: dict[str, tuple[float, int]],
@@ -568,13 +612,19 @@ def main() -> None:
                                         max(1, reps if args.smoke
                                             else reps // 2)))
     fusion_tallies = rotation_fusion_tallies(ev, ct)
+    dispatch_counts = {
+        "hmult": native_dispatches(lambda: ev.multiply(ct, ct_other)),
+        "rotate": native_dispatches(lambda: ev.rotate(ct, 1)),
+    }
     service_kernels, service_calibration = bench_service(
         ring, max(1, reps if args.smoke else reps // 2))
     kernels.update(service_kernels)
     precision_calibration = bench_precision_calibration(
         ring, kg, ev, smoke=args.smoke)
     if not args.smoke:
-        kernels.update(bench_bootstrap_small(max(1, reps // 3)))
+        boot_kernels, dispatch_counts["bootstrap_small"] = \
+            bench_bootstrap_small(max(1, reps // 3))
+        kernels.update(boot_kernels)
 
     full_base = ring.base_qp(ring.max_level)
     payload = {
@@ -594,6 +644,9 @@ def main() -> None:
         # NTT engine on the benchmark base, so pass-count regressions
         # show up in review even when wall-clock noise hides them.
         "ntt_pass_counts": ring.batched_ntt(full_base).pass_counts(),
+        # native kernel calls per operation (0 under the NumPy backend):
+        # the marshalling-count side of every timed kernel above
+        "native_dispatches": dispatch_counts,
         # deterministic fused-vs-unfused kernel tallies for the
         # rotate-reduce optimizer: the pass-count side of the
         # rotation_batch_fused / rotation_batch_ntt_domain pairing,

@@ -37,7 +37,7 @@ from pathlib import Path
 
 #: Must match NM_ABI_VERSION in modmath_native.c; bump both when the
 #: kernel set or any signature changes.
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 _SRC = Path(__file__).with_name("modmath_native.c")
 
@@ -74,13 +74,6 @@ void nm_mul_mod_shoup(int64_t ndim, const int64_t *dims,
                       const char *ws, const int64_t *sws,
                       const char *m, const int64_t *sm,
                       int64_t lazy);
-void nm_shoup4(int64_t ndim, const int64_t *dims,
-               char *out, const int64_t *so,
-               const char *v, const int64_t *sv,
-               const char *w, const int64_t *sw,
-               const char *s_lo, const int64_t *ssl,
-               const char *s_hi, const int64_t *ssh,
-               const char *m, const int64_t *sm);
 void nm_mul_mod_add(int64_t ndim, const int64_t *dims,
                     char *out, const int64_t *so,
                     const char *acc, const int64_t *sacc,
@@ -88,6 +81,13 @@ void nm_mul_mod_add(int64_t ndim, const int64_t *dims,
                     const char *b, const int64_t *sb,
                     const char *m, const int64_t *sm,
                     const char *mu, const int64_t *smu);
+void nm_ntt_forward(int64_t L, int64_t n, uint64_t *a,
+                    const uint64_t *psi, const uint64_t *psi_shoup,
+                    const uint64_t *m);
+void nm_ntt_inverse(int64_t L, int64_t n, uint64_t *a,
+                    const uint64_t *ipsi, const uint64_t *ipsi_shoup,
+                    const uint64_t *m, const uint64_t *n_inv,
+                    const uint64_t *n_inv_shoup);
 void nm_bconv(int64_t dst, int64_t src, int64_t n,
               uint64_t *out, const uint64_t *terms, const uint64_t *cross,
               const uint64_t *m, const uint64_t *mu_hi,

@@ -11,12 +11,16 @@
  * (mul_mod_shoup_lazy), so both backends agree bit for bit, not merely
  * modulo q.
  *
- * Iteration model: the Python wrapper broadcasts every operand to the
- * output shape (broadcast axes become stride 0) and passes per-operand
- * byte strides.  Kernels walk an odometer over the outer dimensions and
- * run a strided inner loop over the last axis, so arbitrary NumPy views
- * (column constants, tiled twiddle planes, transposed slabs) work
- * without copies.  ndim is capped at NM_MAX_NDIM.
+ * Iteration model: the element-wise kernels take strided operands.  The
+ * Python wrapper broadcasts every operand to the output shape
+ * (broadcast axes become stride 0) and passes per-operand byte strides;
+ * the kernels walk an odometer over the outer dimensions and run a
+ * strided inner loop over the last axis, so arbitrary NumPy views
+ * (column constants, transposed slabs) work without copies.  ndim is
+ * capped at NM_MAX_NDIM.  The whole-transform NTT kernels and nm_bconv
+ * instead take C-contiguous matrices with plain row-major indexing: the
+ * caller copies a strided input once, then the C code runs every stage
+ * of every limb in one call.
  *
  * Build: any C compiler with unsigned __int128 (gcc/clang on 64-bit
  * targets).  No Python.h, no NumPy headers — the library is loaded via
@@ -34,7 +38,7 @@ typedef unsigned __int128 u128;
 
 /* ABI version stamp: the loader refuses a stale shared object whose
  * kernel set no longer matches the cdef it was compiled against. */
-#define NM_ABI_VERSION 3
+#define NM_ABI_VERSION 4
 
 i64 nm_abi_version(void) { return NM_ABI_VERSION; }
 
@@ -235,41 +239,91 @@ void nm_mul_mod_shoup(i64 ndim, const i64 *dims,
     } while (nm_step(ndim, dims, idx));
 }
 
-/* ----- exact _shoup4 (Stockham butterfly multiply) -------------------- *
- * The NumPy engine's 3-multiply approximation drops two partial
- * products and lands in [0, 4m); here the full 64x64 high half is one
- * instruction, so the exact Harvey quotient is free and the result
- * stays below 2m — which is what lets the Stockham gate admit wider
- * moduli under this backend (lazy_mult=2 plans).  s_lo/s_hi are the
- * split 32-bit halves of the Shoup constant, exactly as the plan
- * tables store them.                                                    */
+/* ----- whole-matrix negacyclic NTT ------------------------------------ *
+ * The NTTU of Section 5.1 in software: one call transforms every limb of
+ * a C-contiguous (L, n) residue matrix in place, all log2(n) stages, with
+ * the twiddles read from the stacked bit-reversed tables of
+ * BatchedNttContext (row l of psi / psi_shoup belongs to modulus m[l]).
+ * Forward is Cooley-Tukey (natural in, bit-reversed out), inverse is
+ * Gentleman-Sande (bit-reversed in, natural out, scaled by n^-1) -- the
+ * same butterfly sequence as the per-prime NttContext oracle.
+ *
+ * Reduction is Harvey-lazy: the Shoup product w*v - floor(v*w'/2^64)*m
+ * lands in [0, 2m) for any v < 2^64, forward residues stay below 4m and
+ * inverse residues below 2m between stages, and one final pass
+ * normalizes to canonical residues.  4m < 2^64 holds for every modulus
+ * below 2^62 (MODULUS_LIMIT), and canonical outputs are unique, so the
+ * result is bit-identical to the oracle.  Inputs must be canonical.
+ * The kernels keep no scratch: concurrent calls on distinct matrices
+ * are safe (cffi releases the GIL for the duration of the call).        */
 
-void nm_shoup4(i64 ndim, const i64 *dims,
-               char *out, const i64 *so,
-               const char *v, const i64 *sv,
-               const char *w, const i64 *sw,
-               const char *s_lo, const i64 *ssl,
-               const char *s_hi, const i64 *ssh,
-               const char *m, const i64 *sm) {
-    i64 idx[NM_MAX_NDIM] = {0};
-    const i64 inner = dims[ndim - 1];
-    const i64 oi = so[ndim - 1], vi = sv[ndim - 1], wi = sw[ndim - 1];
-    const i64 sli = ssl[ndim - 1], shi = ssh[ndim - 1], mi = sm[ndim - 1];
-    do {
-        char *po = (char *)nm_off(out, so, idx, ndim);
-        const char *pv = nm_off(v, sv, idx, ndim);
-        const char *pw = nm_off(w, sw, idx, ndim);
-        const char *pl = nm_off(s_lo, ssl, idx, ndim);
-        const char *ph = nm_off(s_hi, ssh, idx, ndim);
-        const char *pm = nm_off(m, sm, idx, ndim);
-        for (i64 c = 0; c < inner; c++) {
-            const u64 vv = NM_RD(pv, vi, c);
-            const u64 s = NM_RD(pl, sli, c) | (NM_RD(ph, shi, c) << 32);
-            u64 q = nm_mulhi(vv, s);
-            NM_WR(po, oi, c) = vv * NM_RD(pw, wi, c)
-                - q * NM_RD(pm, mi, c);
+static inline u64 nm_shoup_lazy(u64 v, u64 w, u64 ws, u64 m) {
+    return v * w - nm_mulhi(v, ws) * m;
+}
+
+static void nm_ntt_forward_row(i64 n, u64 *a, const u64 *w,
+                               const u64 *ws, u64 m) {
+    const u64 two_m = 2 * m;
+    for (i64 blocks = 1, half = n >> 1; half >= 1;
+         blocks <<= 1, half >>= 1) {
+        for (i64 b = 0; b < blocks; b++) {
+            const u64 wv = w[blocks + b], wsv = ws[blocks + b];
+            u64 *x = a + 2 * b * half, *y = x + half;
+            for (i64 j = 0; j < half; j++) {
+                u64 u = x[j];
+                if (u >= two_m) u -= two_m;               /* u < 2m */
+                const u64 t = nm_shoup_lazy(y[j], wv, wsv, m);
+                x[j] = u + t;                             /* < 4m */
+                y[j] = u - t + two_m;                     /* < 4m */
+            }
         }
-    } while (nm_step(ndim, dims, idx));
+    }
+    for (i64 j = 0; j < n; j++) {
+        u64 r = a[j];
+        if (r >= two_m) r -= two_m;
+        if (r >= m) r -= m;
+        a[j] = r;
+    }
+}
+
+static void nm_ntt_inverse_row(i64 n, u64 *a, const u64 *w,
+                               const u64 *ws, u64 m, u64 n_inv,
+                               u64 n_inv_shoup) {
+    const u64 two_m = 2 * m;
+    for (i64 blocks = n >> 1, half = 1; blocks >= 1;
+         blocks >>= 1, half <<= 1) {
+        for (i64 b = 0; b < blocks; b++) {
+            const u64 wv = w[blocks + b], wsv = ws[blocks + b];
+            u64 *x = a + 2 * b * half, *y = x + half;
+            for (i64 j = 0; j < half; j++) {
+                const u64 u = x[j], v = y[j];             /* both < 2m */
+                u64 s = u + v;
+                if (s >= two_m) s -= two_m;
+                x[j] = s;
+                y[j] = nm_shoup_lazy(u - v + two_m, wv, wsv, m);
+            }
+        }
+    }
+    for (i64 j = 0; j < n; j++) {
+        u64 r = nm_shoup_lazy(a[j], n_inv, n_inv_shoup, m);
+        if (r >= m) r -= m;
+        a[j] = r;
+    }
+}
+
+void nm_ntt_forward(i64 L, i64 n, u64 *a, const u64 *psi,
+                    const u64 *psi_shoup, const u64 *m) {
+    for (i64 l = 0; l < L; l++)
+        nm_ntt_forward_row(n, a + l * n, psi + l * n, psi_shoup + l * n,
+                           m[l]);
+}
+
+void nm_ntt_inverse(i64 L, i64 n, u64 *a, const u64 *ipsi,
+                    const u64 *ipsi_shoup, const u64 *m,
+                    const u64 *n_inv, const u64 *n_inv_shoup) {
+    for (i64 l = 0; l < L; l++)
+        nm_ntt_inverse_row(n, a + l * n, ipsi + l * n, ipsi_shoup + l * n,
+                           m[l], n_inv[l], n_inv_shoup[l]);
 }
 
 /* ----- fused multiply-accumulate: out = (acc + a*b mod m) mod m ------- *
@@ -360,5 +414,29 @@ i64 nm_selftest(void) {
      * impossible for odd m > 1. */
     if (nm_barrett128((u64)(p >> 64), (u64)p, m, mu_hi, mu_lo)
         != (u64)(p % m)) return 3;
+    /* known-answer NTT: q = 17, n = 4, psi = 2 (a primitive 8th root),
+     * two limbs so the row offsets are exercised too; expected values
+     * come from the per-prime NttContext oracle. */
+    {
+        const u64 q = 17, qs[2] = {17, 17};
+        const u64 psi[8] = {1, 4, 2, 8, 1, 4, 2, 8};
+        const u64 ipsi[8] = {1, 13, 9, 15, 1, 13, 9, 15};
+        const u64 ninv[2] = {13, 13};
+        const u64 in[8] = {1, 2, 3, 4, 16, 0, 5, 9};
+        const u64 want[8] = {15, 11, 13, 16, 6, 15, 14, 12};
+        u64 psi_s[8], ipsi_s[8], ninv_s[2], x[8];
+        for (int i = 0; i < 8; i++) {
+            psi_s[i] = (u64)(((u128)psi[i] << 64) / q);
+            ipsi_s[i] = (u64)(((u128)ipsi[i] << 64) / q);
+            x[i] = in[i];
+        }
+        ninv_s[0] = ninv_s[1] = (u64)(((u128)ninv[0] << 64) / q);
+        nm_ntt_forward(2, 4, x, psi, psi_s, qs);
+        for (int i = 0; i < 8; i++)
+            if (x[i] != want[i]) return 4;
+        nm_ntt_inverse(2, 4, x, ipsi, ipsi_s, qs, ninv, ninv_s);
+        for (int i = 0; i < 8; i++)
+            if (x[i] != in[i]) return 5;
+    }
     return 0;
 }

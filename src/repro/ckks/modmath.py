@@ -34,9 +34,15 @@ to NumPy when it cannot be built or loaded; ``native`` falls back too
 but warns, so CI can also make the build a hard step; ``numpy`` disables
 dispatch entirely.  :func:`set_backend` overrides the env var at
 runtime (tests use this to run the differential tiers under both
-backends in one process).  Because every kernel funnels through these
-functions, the NTT engines, BConv, evk products and Shoup multiplies
-all inherit the selected backend with no call-site changes.
+backends in one process).  Evk products, Shoup multiplies and the
+scalar per-prime NTT oracle funnel through these functions and inherit
+the selected backend with no call-site changes.  Two whole kernels skip
+the primitives under ``native`` and make one C call each, reading
+contiguous matrices: the batched NTT (``nm_ntt_forward`` /
+``nm_ntt_inverse``, see :mod:`repro.ckks.ntt`) and BConv (``nm_bconv``,
+see :mod:`repro.ckks.rns`).  Under ``numpy`` the batched NTT runs the
+radix-4 Stockham engine, or the strict radix-2 path for moduli too wide
+for it; all engines are bit-identical.
 
 Performance notes (limb-batched layout)
 ---------------------------------------

@@ -2,8 +2,9 @@
 
 This is the functional counterpart of the BTS NTTU (Section 5.1): the
 accelerator decomposes the same transform into a 3D schedule across 2,048
-processing elements; here we run the textbook iterative algorithm,
-vectorized per stage with NumPy.
+processing elements; here we run the textbook iterative algorithm, as
+one C call per whole transform on the native backend and vectorized per
+stage with NumPy otherwise.
 
 Forward transform: Cooley-Tukey butterflies, natural-order input,
 bit-reversed output.  Inverse: Gentleman-Sande, bit-reversed input,
@@ -13,24 +14,31 @@ bit-reversal permutation is needed (the standard Longa-Naehrig trick).
 Twiddle factors merge the 2N-th root ``psi`` so the transform is natively
 negacyclic.
 
-Performance notes (radix-4 Stockham engine)
--------------------------------------------
+Batched engines
+---------------
 
 The BTS NTTU processes every RNS limb with the same butterfly network,
 one modulus per lane.  :class:`BatchedNttContext` is the software
 analogue: the per-prime twiddle/Shoup tables of a whole base are stacked
-into ``(num_limbs, n)`` arrays and each butterfly stage runs *once*
-across the full ``(num_limbs, n)`` residue matrix.  The per-prime
-:class:`NttContext` is retained both as the builder of the tables and as
-the scalar reference implementation the batched paths are tested
-bit-identical against: every path computes the exact same canonical
-residues in the same (bit-reversed) order, so outputs agree bit for
-bit, not merely modulo q.
+into ``(num_limbs, n)`` arrays and one call transforms the full
+``(num_limbs, n)`` residue matrix.  The per-prime :class:`NttContext` is
+retained both as the builder of the tables and as the scalar reference
+implementation the batched engines are tested bit-identical against:
+every engine computes the exact same canonical residues in the same
+(bit-reversed) order, so outputs agree bit for bit, not merely modulo q.
 
-Two batched datapaths coexist:
+Which engine runs depends on the modmath backend and the moduli:
 
-* :class:`_StockhamPlan` — the default for practically-sized moduli —
-  runs a radix-4 Stockham auto-sort transform over ping-pong buffers.
+* native backend, every modulus (all are below ``2**62``) —
+  ``nm_ntt_forward`` / ``nm_ntt_inverse`` in ``_native/modmath_native.c``.
+  The input is copied once into a fresh C-contiguous matrix and one C
+  call runs every stage of every limb on it in place (Harvey lazy
+  residues below ``4m``, one final normalization), reading the stacked
+  tables of the context directly.
+
+* NumPy backend, moduli inside :func:`stockham_gate` (up to about
+  ``2**58.5`` at ``n = 2**11``) — :class:`_StockhamPlan`, a radix-4
+  Stockham auto-sort transform over ping-pong buffers.
   The residue matrix lives transposed per stage as ``(limbs, h, B)``
   (``B`` transform blocks of ``h`` coefficients each in the columns),
   so every butterfly reads contiguous row slabs and two radix-2 stages
@@ -46,16 +54,15 @@ Two batched datapaths coexist:
   ``4m`` and one conditional-subtraction chain normalizes the matrix at
   the end.
 
-* the strict radix-2 path (``_forward_radix2`` / ``_inverse_radix2``)
-  — the PR-1 limb-batched kernel, kept for moduli too wide for the
-  relaxed lazy bounds (see :func:`stockham_gate`; ``4m`` on the NumPy
-  backend, ``2m`` when the exact native ``_shoup4`` is active) and as
-  the engine of record for the growth analysis in its docstrings.
+* NumPy backend, wider moduli — the strict radix-2 path
+  (``_forward_radix2`` / ``_inverse_radix2``), a limb-batched kernel
+  with exact Shoup multiplies that holds for any modulus below
+  ``2**62``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -65,8 +72,6 @@ from repro.ckks.modmath import (
     ModulusVector,
     _active_native,
     _correct_once,
-    _native_ok,
-    _nm_call,
     add_mod,
     inv_mod,
     mul_mod_shoup,
@@ -113,8 +118,7 @@ def ntt_galois_permutation(n: int, galois_elt: int) -> np.ndarray:
 
     The permutation depends only on ``(n, galois_elt)`` — not on the
     moduli — so one cached table serves every base, and it is identical
-    for the Stockham and strict radix-2 engines (both emit the same
-    bit-reversed order).
+    for every batched engine (all emit the same bit-reversed order).
     """
     if galois_elt % 2 == 0:
         raise ValueError("galois element must be odd")
@@ -248,21 +252,7 @@ def _shoup4(v: np.ndarray, w: np.ndarray, s_lo: np.ndarray,
     Three plain ``uint64`` multiplies replace the exact
     :func:`~repro.ckks.modmath.mulhi64` ladder, whose 32-bit-view
     upcasting costs ~3x a native 64-bit multiply per pass.
-
-    Under the native modmath backend this dispatches to ``nm_shoup4``,
-    which recombines the Shoup halves and computes the *exact* quotient
-    with a real 128-bit multiply — the result then lands in ``[0, 2m)``
-    for any ``v < 2**64``.  Lazy intermediates therefore differ between
-    backends, but both are congruent mod ``m`` and the end-of-transform
-    normalization chain maps them to the same canonical residues, so
-    transform outputs stay bit-identical.  The tighter ``2m`` bound is
-    what lets :func:`stockham_gate` admit wider moduli when the exact
-    variant is guaranteed (``lazy_mult=2`` plans).
     """
-    h = _active_native()
-    if h is not None and _native_ok(out):
-        _nm_call(h, "nm_shoup4", (out,), (v, w, s_lo, s_hi, m))
-        return out
     sh = v.shape
     v0 = np.bitwise_and(v, _MASK32_U64, out=workspace_buffer("stk.v0", sh))
     v1 = np.right_shift(v, np.uint64(32), out=workspace_buffer("stk.v1", sh))
@@ -283,23 +273,19 @@ def _shoup4(v: np.ndarray, w: np.ndarray, s_lo: np.ndarray,
 _SHOUP4_OPS = 12
 
 
-def stockham_gate(n: int, max_modulus: int, lazy_mult: int = 4) -> bool:
+def stockham_gate(n: int, max_modulus: int) -> bool:
     """True when the lazy bounds of the Stockham engine hold.
 
-    ``lazy_mult`` is the worst-case twiddle-product bound as a multiple
-    of ``m``: 4 for the approximate 3-multiply :func:`_shoup4` (the
-    NumPy path), 2 for the exact native variant.  Forward residues grow
-    additively by at most ``lazy_mult * m`` per radix-2 stage (twiddle
-    products stay below ``lazy_mult * m``, butterflies add a
-    ``lazy_mult * m`` offset), so the final bound
-    ``(lazy_mult * log2(n) + 1) * m`` must fit a word; the inverse
-    needs ``2 * lazy_mult * m < 2**64`` for its add branch.  Moduli too
-    wide even for ``lazy_mult=2`` fall back to the strict radix-2
-    engine.
+    The approximate 3-multiply :func:`_shoup4` bounds every twiddle
+    product below ``4m``.  Forward residues grow additively by at most
+    ``4m`` per radix-2 stage (butterflies add a ``4m`` offset), so the
+    final bound ``(4 * log2(n) + 1) * m`` must fit a word; the inverse
+    needs ``8m < 2**64`` for its add branch.  Wider moduli take the
+    strict radix-2 engine.
     """
     k = n.bit_length() - 1
-    return ((lazy_mult * k + 1) * max_modulus < (1 << 64)
-            and 2 * lazy_mult * max_modulus < (1 << 64))
+    return ((4 * k + 1) * max_modulus < (1 << 64)
+            and 8 * max_modulus < (1 << 64))
 
 
 class _StockhamPlan:
@@ -315,22 +301,13 @@ class _StockhamPlan:
     the auto-sort interleave appears only as strided *writes* (forward)
     or strided *gathers* (inverse).  Twiddle patterns are pre-tiled to
     :data:`_PLANE_TILE` so no inner loop sees a stride-0 operand.
-
-    ``lazy_mult`` selects the lazy-bound regime (see
-    :func:`stockham_gate`): 4 works on every backend; 2 assumes the
-    exact native :func:`_shoup4` and admits moduli up to a word wider,
-    so ``lazy_mult=2`` plans set ``needs_exact`` and are only run when
-    the native backend is active (checked per call via :meth:`usable`,
-    since the backend can be switched at runtime).
     """
 
     def __init__(self, contexts: tuple["NttContext", ...],
-                 moduli: ModulusVector, lazy_mult: int = 4) -> None:
+                 moduli: ModulusVector) -> None:
         self.n = n = contexts[0].n
         self.k = k = n.bit_length() - 1
         self.num_limbs = L = len(contexts)
-        self.lazy_mult = lazy_mult
-        self.needs_exact = lazy_mult == 2
         self.lone = bool(k % 2)
         psi = np.stack([c.psi_rev for c in contexts])
         psi_sh = np.stack([c.psi_rev_shoup for c in contexts])
@@ -343,9 +320,9 @@ class _StockhamPlan:
         imax = max(_PLANE_TILE, n // 2)
         self.m_plane = np.ascontiguousarray(
             np.broadcast_to(mods, (L, imax)))
-        self.m_lazy_plane = self.m_plane * np.uint64(lazy_mult)
-        # forward normalization chain: bound (lazy_mult*k+1) m -> halving
-        bound = lazy_mult * k + 1
+        self.m_lazy_plane = self.m_plane * np.uint64(4)
+        # forward normalization chain: bound (4k+1) m -> halving
+        bound = 4 * k + 1
         mult = 1 << max((bound - 1).bit_length() - 1, 0)
         self.fwd_chain = []
         while mult >= 1:
@@ -443,22 +420,12 @@ class _StockhamPlan:
         inv.append(("normalize", 2 * len(self.inv_chain),
                     2.0 * len(self.inv_chain)))
         self.pass_counts = {
-            "engine": ("stockham-r4-exact" if self.needs_exact
-                       else "stockham-r4"),
+            "engine": "stockham-r4",
             "forward": _tally(fwd),
             "inverse": _tally(inv),
         }
 
     # ----- helpers -------------------------------------------------------
-
-    def usable(self) -> bool:
-        """Whether this plan may run right now.
-
-        ``lazy_mult=2`` plans are only sound with the exact native
-        :func:`_shoup4`; when the native backend is inactive the caller
-        must fall back to the strict radix-2 engine instead.
-        """
-        return not self.needs_exact or _active_native() is not None
 
     def _buffers(self, a: np.ndarray, swaps: int
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -644,10 +611,12 @@ class BatchedNttContext:
     per-prime :class:`NttContext` tables, and ``forward`` / ``inverse``
     transform a whole ``(num_limbs, n)`` residue matrix per call — the
     software counterpart of the NTTU applying the same stage to every
-    RNS lane simultaneously.  Transforms dispatch to the radix-4
-    Stockham engine (:class:`_StockhamPlan`) when the base's moduli fit
-    its relaxed lazy bounds, else to the strict radix-2 path.  Outputs
-    are bit-identical to running the per-prime contexts row by row.
+    RNS lane simultaneously.  Under the native backend each transform is
+    one C call; under NumPy it runs the radix-4 Stockham engine
+    (:class:`_StockhamPlan`) when the base's moduli fit its relaxed lazy
+    bounds, else the strict radix-2 path (see the module docstring).
+    Outputs are bit-identical to running the per-prime contexts row by
+    row.
     """
 
     moduli: ModulusVector
@@ -671,6 +640,10 @@ class BatchedNttContext:
     #: Radix-4 Stockham schedule, or None when the moduli are too wide
     #: for its relaxed lazy bounds (see :func:`stockham_gate`).
     plan: "_StockhamPlan | None" = None
+    #: Native library handle -> table pointers cast for the native
+    #: kernels, filled on first native transform.
+    _native_args: dict = field(default_factory=dict, repr=False,
+                               compare=False)
 
     @classmethod
     def from_contexts(cls, contexts: tuple[NttContext, ...]
@@ -685,15 +658,8 @@ class BatchedNttContext:
             [[[(int(c.psi_inv_rev[1]) * int(c.n_inv)) % c.modulus.value]]
              for c in contexts], dtype=np.uint64)
         max_m = max(m.value for m in moduli.moduli)
-        # Prefer the backend-agnostic 4m plan; moduli too wide for it but
-        # inside the exact-variant 2m bounds get a needs_exact plan that
-        # runs only while the native backend is active (usable()).
-        plan = None
-        if n >= 2:
-            if stockham_gate(n, max_m):
-                plan = _StockhamPlan(contexts, moduli)
-            elif stockham_gate(n, max_m, lazy_mult=2):
-                plan = _StockhamPlan(contexts, moduli, lazy_mult=2)
+        plan = (_StockhamPlan(contexts, moduli)
+                if stockham_gate(n, max_m) else None)
         return cls(
             moduli=moduli,
             n=n,
@@ -724,14 +690,16 @@ class BatchedNttContext:
     def forward(self, a: np.ndarray) -> np.ndarray:
         """Batched negacyclic NTT of a ``(num_limbs, n)`` matrix.
 
-        Dispatches to the radix-4 Stockham engine when the base's moduli
-        fit its lazy bounds, else to the strict radix-2 path.  Both are
-        bit-identical to the per-prime scalar contexts.
+        Every engine returns a fresh array, bit-identical to the
+        per-prime scalar contexts, and leaves ``a`` untouched.
         """
         self._check_shape(a)
         if _obs_kernel._ENABLED:
             _obs_kernel.TALLY.ntt_forward += self.num_limbs
-        if self.plan is not None and self.plan.usable():
+        h = _active_native()
+        if h is not None:
+            return self._native_transform(h, a, inverse=False)
+        if self.plan is not None:
             return self.plan.forward(a)
         return self._forward_radix2(a)
 
@@ -740,15 +708,48 @@ class BatchedNttContext:
         self._check_shape(a)
         if _obs_kernel._ENABLED:
             _obs_kernel.TALLY.ntt_inverse += self.num_limbs
-        if self.plan is not None and self.plan.usable():
+        h = _active_native()
+        if h is not None:
+            return self._native_transform(h, a, inverse=True)
+        if self.plan is not None:
             return self.plan.inverse(a)
         return self._inverse_radix2(a)
 
+    def _native_transform(self, h, a: np.ndarray,
+                          inverse: bool) -> np.ndarray:
+        """One ``nm_ntt_forward`` / ``nm_ntt_inverse`` call on a copy of ``a``.
+
+        The copy is the only NumPy pass: it makes strided inputs (limb
+        slices, stacked bases) C-contiguous and keeps ``a`` intact.
+        """
+        args = self._native_args.get(h)
+        if args is None:
+            def ptr(arr: np.ndarray):
+                assert arr.flags.c_contiguous
+                return h.ffi.cast("const uint64_t *", arr.ctypes.data)
+
+            m = ptr(self.moduli.u64)
+            args = ((ptr(self.psi_rev), ptr(self.psi_rev_shoup), m),
+                    (ptr(self.psi_inv_rev), ptr(self.psi_inv_rev_shoup), m,
+                     ptr(self.n_inv), ptr(self.n_inv_shoup)))
+            self._native_args[h] = args
+        out = np.array(a, dtype=np.uint64, order="C")
+        ptr_out = h.ffi.cast("uint64_t *", out.ctypes.data)
+        if inverse:
+            h.lib.nm_ntt_inverse(self.num_limbs, self.n, ptr_out, *args[1])
+        else:
+            h.lib.nm_ntt_forward(self.num_limbs, self.n, ptr_out, *args[0])
+        return out
+
     def pass_counts(self) -> dict:
         """Static per-stage dispatch / matrix-pass tallies of the engine."""
-        if self.plan is not None and self.plan.usable():
-            return self.plan.pass_counts
         k = self.n.bit_length() - 1
+        if _active_native() is not None:
+            # one C call: k butterfly stages + the normalization pass
+            whole = _tally([("whole-transform", 1, float(k + 1))])
+            return {"engine": "native", "forward": whole, "inverse": whole}
+        if self.plan is not None:
+            return self.plan.pass_counts
         # strict radix-2 path: per stage 2 gathers, ~15-dispatch exact
         # Shoup ladder over the half matrix, 3 butterfly ops.
         per_stage = 2 + 15 + 3

@@ -16,6 +16,7 @@ from repro.ckks.modmath import (
     Modulus,
     ModulusVector,
     add_mod,
+    available_backends,
     barrett_reduce128,
     mul128,
     mul_mod,
@@ -35,6 +36,7 @@ from repro.ckks.rns import (
     base_convert,
     base_modulus_vector,
 )
+from tests.conftest import forced_backend
 
 #: Deliberately mixed-width moduli (one per row) to exercise broadcasting.
 MIXED_MODULI = [17, 257, (1 << 30) + 3, (1 << 45) + 59, (1 << 59) + 55,
@@ -155,6 +157,9 @@ class TestLazyAccumulation:
 
 
 class TestBatchedNtt:
+    """Batched transforms vs the per-limb contexts, under every available
+    backend (native whole-transform kernel and the NumPy engines)."""
+
     @pytest.mark.parametrize("n", [16, 64, 256, 1024])
     def test_bit_identical_to_per_limb(self, n):
         primes = (ntt_friendly_primes(40, 3, n) +
@@ -165,13 +170,14 @@ class TestBatchedNtt:
         rng = np.random.default_rng(n)
         a = np.stack([rng.integers(0, q, size=n, dtype=np.uint64)
                       for q in primes])
-        fwd = batched.forward(a)
-        assert np.array_equal(
-            fwd, np.stack([c.forward(a[i]) for i, c in enumerate(ctxs)]))
-        inv = batched.inverse(fwd)
-        assert np.array_equal(
-            inv, np.stack([c.inverse(fwd[i]) for i, c in enumerate(ctxs)]))
-        assert np.array_equal(inv, a)
+        ref = np.stack([c.forward(a[i]) for i, c in enumerate(ctxs)])
+        ref_inv = np.stack([c.inverse(ref[i]) for i, c in enumerate(ctxs)])
+        assert np.array_equal(ref_inv, a)
+        for backend in available_backends():
+            with forced_backend(backend):
+                fwd = batched.forward(a)
+                assert np.array_equal(fwd, ref), backend
+                assert np.array_equal(batched.inverse(fwd), ref_inv), backend
 
     def test_cache_shared_across_equal_bases(self):
         n = 64
@@ -187,16 +193,22 @@ class TestBatchedNtt:
         rng = np.random.default_rng(1)
         a = rng.integers(0, q, size=(1, n), dtype=np.uint64)
         before = a.copy()
-        batched.forward(a)
-        batched.inverse(a)
-        assert np.array_equal(a, before)
+        for backend in available_backends():
+            with forced_backend(backend):
+                batched.forward(a)
+                batched.inverse(a)
+                assert np.array_equal(a, before), backend
 
     def test_shape_validation(self):
         n = 64
         q = ntt_friendly_primes(45, 1, n)[0]
         batched = batched_ntt_context((NttContext.create(q, n),))
-        with pytest.raises(ValueError):
-            batched.forward(np.zeros((2, n), dtype=np.uint64))
+        for backend in available_backends():
+            with forced_backend(backend):
+                with pytest.raises(ValueError):
+                    batched.forward(np.zeros((2, n), dtype=np.uint64))
+                with pytest.raises(ValueError):
+                    batched.inverse(np.zeros((1, n // 2), dtype=np.uint64))
 
 
 @pytest.fixture(scope="module")

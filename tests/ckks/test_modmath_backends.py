@@ -9,8 +9,6 @@ that inherits the dispatch (NTT, BConv, key-switching, full HMult).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,10 +26,9 @@ from repro.ckks.modmath import (
     mul_mod_shoup,
     mul_mod_shoup_lazy,
     mulhi64,
-    set_backend,
     shoup_precompute,
 )
-from tests.conftest import encrypt_message
+from tests.conftest import encrypt_message, forced_backend
 
 needs_native = pytest.mark.skipif(
     "native" not in available_backends(),
@@ -45,20 +42,11 @@ _WIDTHS = [(1 << 59) + 55, (1 << 61) + 15, (1 << 40) + 195,
            (1 << 61) + 249, 113]
 
 
-@contextmanager
-def forced(name):
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(None)
-
-
 def _under_both(fn):
     """Run ``fn()`` under each backend, returning (numpy, native)."""
-    with forced("numpy"):
+    with forced_backend("numpy"):
         ref = fn()
-    with forced("native"):
+    with forced_backend("native"):
         got = fn()
     return ref, got
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -49,24 +51,36 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(2024)
 
 
-@pytest.fixture(params=["numpy", "native"])
-def each_backend(request) -> str:
-    """Run the test once per modmath backend (skips native if unbuilt).
+@contextlib.contextmanager
+def forced_backend(name: str):
+    """Run the ``with`` body under one modmath backend, then restore.
 
     Forces the backend via :func:`repro.ckks.modmath.set_backend` —
-    which overrides ``REPRO_MODMATH_BACKEND`` — so a single pytest run
-    exercises both dispatch paths regardless of the environment.
+    which overrides ``REPRO_MODMATH_BACKEND``.  Loop it over
+    ``modmath.available_backends()`` where one test id must cover both
+    backends (hypothesis tests cannot take a function-scoped fixture).
     """
     from repro.ckks import modmath
 
-    name = request.param
-    if name not in modmath.available_backends():
-        pytest.skip(f"{name} modmath backend unavailable")
     modmath.set_backend(name)
     try:
         yield name
     finally:
         modmath.set_backend(None)
+
+
+@pytest.fixture(params=["numpy", "native"])
+def each_backend(request) -> str:
+    """Run the test once per modmath backend (skips native if unbuilt),
+    so a single pytest run exercises both dispatch paths regardless of
+    the environment."""
+    from repro.ckks import modmath
+
+    name = request.param
+    if name not in modmath.available_backends():
+        pytest.skip(f"{name} modmath backend unavailable")
+    with forced_backend(name):
+        yield name
 
 
 def encrypt_message(keys: KeyGenerator, encoder: Encoder,

@@ -1,8 +1,9 @@
 """Machine-readable wall-clock benchmarks of the functional CKKS hot paths.
 
 Times the kernel engine (NTT, HMult, HRot, hoisted rotation batches,
-small bootstrap) plus the serving layer (wire round-trip, batched vs
-unbatched scheduler throughput) and writes ``BENCH_functional.json``
+small bootstrap), the per-call cost of reaching a modmath kernel, plus
+the serving layer (wire round-trip, batched vs unbatched scheduler
+throughput) and writes ``BENCH_functional.json``
 mapping kernel -> median seconds, so every future PR has a perf
 trajectory to regress against::
 
@@ -12,8 +13,10 @@ trajectory to regress against::
 
 ``--check`` compares the fresh measurements against the kernel medians
 embedded in the checked-in ``BENCH_functional.json`` and exits non-zero
-when any kernel regresses more than ``--tolerance`` (default 20%) — the
-regression gate every perf-touching PR must pass.  The parameters mirror
+when any kernel regresses more than ``--tolerance`` (default 20%), or
+when an operation makes more native kernel calls than the committed
+``native_dispatches`` count — the regression gate every perf-touching PR
+must pass.  The parameters mirror
 ``bench_functional_ckks.py``: HMult/HRot run at N=2^11, L=10, dnum=2;
 the bootstrap runs the library's deepest path at N=2^9.  ``--smoke``
 cuts repetitions and skips the bootstrap so the run finishes in seconds
@@ -167,6 +170,34 @@ def bench_ntt(ring, reps: int) -> dict[str, tuple[float, int]]:
         "ntt_inverse_batched":
             (_median_seconds(lambda: batched.inverse(matrix), reps), reps),
     }
+
+
+def bench_native_call_overhead(ring, reps: int
+                               ) -> dict[str, tuple[float, int]]:
+    """Per-call cost of one element-wise modmath kernel at trivial size.
+
+    ``mul_mod(a, b, mv, out=out)`` on ``(10, 1)`` operands: one word per
+    limb, so the C arithmetic is negligible and the median is the price
+    of reaching the kernel (backend lookup, operand descriptors, the
+    cffi call).  Each sample times a batch of calls and reports the mean
+    per call, so timer resolution does not dominate a microsecond-scale
+    reading.
+    """
+    from repro.ckks.modmath import ModulusVector, mul_mod
+
+    mv = ModulusVector([p.modulus for p in ring.base_qp(ring.max_level)[:10]])
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 1 << 62, size=(10, 1), dtype=np.uint64) % mv.u64
+    b = rng.integers(0, 1 << 62, size=(10, 1), dtype=np.uint64) % mv.u64
+    out = np.empty((10, 1), dtype=np.uint64)
+    batch = 200
+
+    def run():
+        for _ in range(batch):
+            mul_mod(a, b, mv, out=out)
+
+    return {"native_call_overhead":
+            (_median_seconds(run, reps) / batch, reps)}
 
 
 def bench_hmult_rotate(ev, ct, ct_other,
@@ -512,8 +543,11 @@ def check_regressions(kernels: dict[str, tuple[float, int]],
     measurement is rescaled by that kernel's baseline/measured ratio —
     a machine-speed canary that lets a host of different absolute speed
     (CI runners) gate on the *code* rather than the hardware.  Pick a
-    kernel the change under test does not touch (the per-limb scalar
-    NTT is the default canary: it is the frozen bit-identity oracle).
+    kernel the change under test does not touch.  The per-limb scalar
+    NTT is the default canary: it is the frozen bit-identity oracle,
+    but its butterflies call the modmath primitives, so a change to the
+    modmath dispatch moves it too and must re-record it (a faster canary
+    inflates every other normalized kernel; a slower one masks them).
     """
     scale = 1.0
     if normalize_kernel is not None:
@@ -546,6 +580,29 @@ def check_regressions(kernels: dict[str, tuple[float, int]],
         print(f"  {name:28s} {value * 1e3:10.3f} ms  "
               f"{ratio:5.2f}x of {float(base) * 1e3:.3f} ms  {flag}")
     return regressions
+
+
+def check_dispatches(counts: dict[str, int], baseline: dict) -> int:
+    """Compare native kernel call counts against the committed ones.
+
+    Returns how many operations now make *more* native calls than the
+    baseline records.  The counts are exact, so unlike the timed gate
+    no host speed can mask an increase (a split kernel, a lost fusion or
+    a layout that fell off the fast path).  Operations missing from
+    either side are skipped (the bootstrap in ``--smoke`` mode).
+    """
+    failures = 0
+    print("native dispatch check (exact; more calls than committed fails):")
+    for name, count in sorted(counts.items()):
+        base = baseline.get(name)
+        if base is None:
+            print(f"  {name:28s} {count:6d} calls  (no baseline)")
+            continue
+        flag = "REGRESSION" if count > base else "ok"
+        if count > base:
+            failures += 1
+        print(f"  {name:28s} {count:6d} calls  vs {base:6d}  {flag}")
+    return failures
 
 
 def main() -> None:
@@ -589,6 +646,7 @@ def main() -> None:
     if args.check:
         baseline_payload = json.loads(args.baseline.read_text())
         baseline_kernels = baseline_payload["kernels"]
+        baseline_dispatches = baseline_payload.get("native_dispatches", {})
         baseline_backend = baseline_payload.get("host", {}).get(
             "modmath_backend")
         if baseline_backend and baseline_backend != active_backend():
@@ -607,6 +665,7 @@ def main() -> None:
     # explicitly asked for a specific count.
     ntt_reps = reps if args.reps is not None else max(reps, 21)
     kernels.update(bench_ntt(ring, ntt_reps))
+    kernels.update(bench_native_call_overhead(ring, ntt_reps))
     kernels.update(bench_hmult_rotate(ev, ct, ct_other, reps))
     kernels.update(bench_rotation_batch(ev, ct,
                                         max(1, reps if args.smoke
@@ -638,7 +697,8 @@ def main() -> None:
                  # a baseline recorded under one backend must only gate
                  # runs of the same backend
                  "modmath_backend": active_backend()},
-        "kernels": {name: {"median_s": round(value, 6), "reps": used}
+        # four significant digits: native_call_overhead is microseconds
+        "kernels": {name: {"median_s": float(f"{value:.4g}"), "reps": used}
                     for name, (value, used) in kernels.items()},
         # static per-stage NumPy-dispatch / matrix-pass tallies of the
         # NTT engine on the benchmark base, so pass-count regressions
@@ -687,6 +747,8 @@ def main() -> None:
         regressions = check_regressions(kernels, baseline_kernels,
                                         str(args.baseline), args.tolerance,
                                         args.normalize_kernel)
+        regressions += check_dispatches(dispatch_counts,
+                                        baseline_dispatches)
         # Paired observability-overhead gate: both medians came from
         # this run (same process, same host), so the ratio is the cost
         # of the enabled instruments alone — no machine-speed canary
@@ -704,7 +766,7 @@ def main() -> None:
                 regressions += 1
         if regressions:
             print(f"FAIL: {regressions} kernel(s) regressed "
-                  f">{args.tolerance:.0%}")
+                  f"(>{args.tolerance:.0%} slower, or more native calls)")
             sys.exit(1)
         print("regression check passed")
 

@@ -37,7 +37,7 @@ from pathlib import Path
 
 #: Must match NM_ABI_VERSION in modmath_native.c; bump both when the
 #: kernel set or any signature changes.
-ABI_VERSION = 4
+ABI_VERSION = 5
 
 _SRC = Path(__file__).with_name("modmath_native.c")
 
@@ -45,42 +45,36 @@ _SRC = Path(__file__).with_name("modmath_native.c")
 CDEF = """
 int64_t nm_abi_version(void);
 int64_t nm_selftest(void);
-void nm_mulhi64(int64_t ndim, const int64_t *dims,
-                char *out, const int64_t *so,
-                const char *a, const int64_t *sa,
-                const char *b, const int64_t *sb);
-void nm_mul128(int64_t ndim, const int64_t *dims,
-               char *out_hi, const int64_t *sh,
-               char *out_lo, const int64_t *sl,
-               const char *a, const int64_t *sa,
-               const char *b, const int64_t *sb);
-void nm_mul_mod(int64_t ndim, const int64_t *dims,
-                char *out, const int64_t *so,
-                const char *a, const int64_t *sa,
-                const char *b, const int64_t *sb,
-                const char *m, const int64_t *sm,
-                const char *mu, const int64_t *smu);
-void nm_barrett_reduce128(int64_t ndim, const int64_t *dims,
-                          char *out, const int64_t *so,
-                          const char *hi, const int64_t *shi,
-                          const char *lo, const int64_t *slo,
-                          const char *m, const int64_t *sm,
-                          const char *mu_hi, const int64_t *smh,
-                          const char *mu_lo, const int64_t *sml);
-void nm_mul_mod_shoup(int64_t ndim, const int64_t *dims,
-                      char *out, const int64_t *so,
-                      const char *a, const int64_t *sa,
-                      const char *w, const int64_t *sw,
-                      const char *ws, const int64_t *sws,
-                      const char *m, const int64_t *sm,
-                      int64_t lazy);
-void nm_mul_mod_add(int64_t ndim, const int64_t *dims,
-                    char *out, const int64_t *so,
-                    const char *acc, const int64_t *sacc,
-                    const char *a, const int64_t *sa,
-                    const char *b, const int64_t *sb,
-                    const char *m, const int64_t *sm,
-                    const char *mu, const int64_t *smu);
+void nm_mulhi64(int64_t rows, int64_t n, uint64_t *out, int64_t os,
+                const uint64_t *a, int64_t ar, int64_t ac,
+                const uint64_t *b, int64_t br, int64_t bc);
+void nm_mul128(int64_t rows, int64_t n,
+               uint64_t *out_hi, int64_t hs, uint64_t *out_lo, int64_t ls,
+               const uint64_t *a, int64_t ar, int64_t ac,
+               const uint64_t *b, int64_t br, int64_t bc);
+void nm_mul_mod(int64_t rows, int64_t n, uint64_t *out, int64_t os,
+                const uint64_t *a, int64_t ar, int64_t ac,
+                const uint64_t *b, int64_t br, int64_t bc,
+                const uint64_t *m, int64_t mr,
+                const uint64_t *mu, int64_t mur);
+void nm_barrett_reduce128(int64_t rows, int64_t n, uint64_t *out,
+                          int64_t os,
+                          const uint64_t *hi, int64_t hr, int64_t hc,
+                          const uint64_t *lo, int64_t lr, int64_t lc,
+                          const uint64_t *m, int64_t mr,
+                          const uint64_t *mu_hi, int64_t mhr,
+                          const uint64_t *mu_lo, int64_t mlr);
+void nm_mul_mod_shoup(int64_t rows, int64_t n, uint64_t *out, int64_t os,
+                      const uint64_t *a, int64_t ar, int64_t ac,
+                      const uint64_t *w, int64_t wr, int64_t wc,
+                      const uint64_t *ws, int64_t wsr, int64_t wsc,
+                      const uint64_t *m, int64_t mr, int64_t lazy);
+void nm_mul_mod_add(int64_t rows, int64_t n, uint64_t *out, int64_t os,
+                    const uint64_t *acc, int64_t accr, int64_t accc,
+                    const uint64_t *a, int64_t ar, int64_t ac,
+                    const uint64_t *b, int64_t br, int64_t bc,
+                    const uint64_t *m, int64_t mr,
+                    const uint64_t *mu, int64_t mur);
 void nm_ntt_forward(int64_t L, int64_t n, uint64_t *a,
                     const uint64_t *psi, const uint64_t *psi_shoup,
                     const uint64_t *m);
@@ -242,19 +236,41 @@ def _load_impl(build_if_missing: bool):
 
 
 class _Handle:
-    """The loaded library plus its ffi (kept together for casts)."""
+    """The loaded library plus the pointer factory for its arguments."""
 
-    __slots__ = ("ffi", "lib")
+    __slots__ = ("lib", "_words", "_from_buffer")
 
     def __init__(self, ffi, lib) -> None:
-        self.ffi = ffi
         self.lib = lib
+        self._words = ffi.typeof("uint64_t[]")
+        self._from_buffer = ffi.from_buffer
+
+    def ptr(self, arr):
+        """Word pointer to the first element of a ``uint64`` array.
+
+        ``ffi.from_buffer`` with the cached ``uint64_t[]`` type; the
+        pointer keeps ``arr`` alive while it is referenced.  The buffer
+        protocol only exports C-contiguous arrays, so a strided view is
+        first cut to its one-element corner (``arr[:1, ..., :1]``, a
+        zero-copy view of the same memory); the caller passes the
+        strides separately.
+        """
+        if not arr.flags.c_contiguous:
+            arr = arr[(slice(0, 1),) * arr.ndim]
+        return self._from_buffer(self._words, arr)
 
 
 def reset_for_tests() -> None:
-    """Drop the cached handle so tests can exercise reload paths."""
+    """Drop the cached handle so tests can exercise reload paths.
+
+    :mod:`repro.ckks.modmath` caches the handle it resolved, so that
+    cache is dropped too and the next kernel call reloads the library.
+    """
     global _lib, _lib_error, _loaded
     with _lock:
         _lib = None
         _lib_error = None
         _loaded = False
+    from repro.ckks import modmath
+
+    modmath._invalidate_backend()

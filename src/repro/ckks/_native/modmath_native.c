@@ -11,16 +11,20 @@
  * (mul_mod_shoup_lazy), so both backends agree bit for bit, not merely
  * modulo q.
  *
- * Iteration model: the element-wise kernels take strided operands.  The
- * Python wrapper broadcasts every operand to the output shape
- * (broadcast axes become stride 0) and passes per-operand byte strides;
- * the kernels walk an odometer over the outer dimensions and run a
- * strided inner loop over the last axis, so arbitrary NumPy views
- * (column constants, transposed slabs) work without copies.  ndim is
- * capped at NM_MAX_NDIM.  The whole-transform NTT kernels and nm_bconv
- * instead take C-contiguous matrices with plain row-major indexing: the
- * caller copies a strided input once, then the C code runs every stage
- * of every limb in one call.
+ * Iteration model: the element-wise kernels share one fixed 2-D
+ * signature.  Each runs over a rows x n output matrix whose rows are
+ * contiguous (element stride 1, row stride `os`).  A matrix operand is
+ * passed as (ptr, row_stride, col_stride) in elements, so a stride of 0
+ * broadcasts it along that axis (a (rows, 1) column, a (1, n) row or a
+ * scalar) and any 2-D NumPy view with word-aligned strides works
+ * without a copy.  Per-row constants (m, mu, mu_hi/mu_lo) are passed as
+ * (ptr, row_stride) and read once per row: one modulus per limb, as in
+ * the MMAU lanes.  The Python wrapper folds deeper arrays to
+ * (shape[0], -1) when their strides allow it and copies otherwise.
+ * The whole-transform NTT kernels and nm_bconv instead take
+ * C-contiguous matrices with plain row-major indexing: the caller
+ * copies a strided input once, then the C code runs every stage of
+ * every limb in one call.
  *
  * Build: any C compiler with unsigned __int128 (gcc/clang on 64-bit
  * targets).  No Python.h, no NumPy headers — the library is loaded via
@@ -34,11 +38,9 @@ typedef uint64_t u64;
 typedef int64_t i64;
 typedef unsigned __int128 u128;
 
-#define NM_MAX_NDIM 8
-
 /* ABI version stamp: the loader refuses a stale shared object whose
  * kernel set no longer matches the cdef it was compiled against. */
-#define NM_ABI_VERSION 4
+#define NM_ABI_VERSION 5
 
 i64 nm_abi_version(void) { return NM_ABI_VERSION; }
 
@@ -46,69 +48,33 @@ static inline u64 nm_mulhi(u64 a, u64 b) {
     return (u64)(((u128)a * b) >> 64);
 }
 
-/* Odometer bookkeeping shared by every strided kernel: advance the
- * outer indices (all dims but the last); returns 0 when iteration is
- * exhausted.  Offsets are recomputed per outer step — outer trip
- * counts are tiny next to the inner loop. */
-static inline int nm_step(i64 ndim, const i64 *dims, i64 *idx) {
-    i64 d = ndim - 2;
-    for (; d >= 0; d--) {
-        if (++idx[d] < dims[d]) return 1;
-        idx[d] = 0;
-    }
-    return 0;
-}
-
-static inline const char *nm_off(const char *base, const i64 *strides,
-                                 const i64 *idx, i64 ndim) {
-    i64 d;
-    for (d = 0; d < ndim - 1; d++) base += idx[d] * strides[d];
-    return base;
-}
-
-#define NM_RD(p, stride, c) (*(const u64 *)((const char *)(p) + (c) * (stride)))
-#define NM_WR(p, stride, c) (*(u64 *)((char *)(p) + (c) * (stride)))
-
 /* ----- mulhi64: high 64 bits of the 128-bit product ------------------ */
 
-void nm_mulhi64(i64 ndim, const i64 *dims,
-                char *out, const i64 *so,
-                const char *a, const i64 *sa,
-                const char *b, const i64 *sb) {
-    i64 idx[NM_MAX_NDIM] = {0};
-    const i64 inner = dims[ndim - 1];
-    const i64 oi = so[ndim - 1], ai = sa[ndim - 1], bi = sb[ndim - 1];
-    do {
-        char *po = (char *)nm_off(out, so, idx, ndim);
-        const char *pa = nm_off(a, sa, idx, ndim);
-        const char *pb = nm_off(b, sb, idx, ndim);
-        for (i64 c = 0; c < inner; c++)
-            NM_WR(po, oi, c) = nm_mulhi(NM_RD(pa, ai, c), NM_RD(pb, bi, c));
-    } while (nm_step(ndim, dims, idx));
+void nm_mulhi64(i64 rows, i64 n, u64 *out, i64 os,
+                const u64 *a, i64 ar, i64 ac,
+                const u64 *b, i64 br, i64 bc) {
+    for (i64 r = 0; r < rows; r++) {
+        u64 *po = out + r * os;
+        const u64 *pa = a + r * ar, *pb = b + r * br;
+        for (i64 c = 0; c < n; c++)
+            po[c] = nm_mulhi(pa[c * ac], pb[c * bc]);
+    }
 }
 
 /* ----- mul128: full (hi, lo) product --------------------------------- */
 
-void nm_mul128(i64 ndim, const i64 *dims,
-               char *out_hi, const i64 *sh,
-               char *out_lo, const i64 *sl,
-               const char *a, const i64 *sa,
-               const char *b, const i64 *sb) {
-    i64 idx[NM_MAX_NDIM] = {0};
-    const i64 inner = dims[ndim - 1];
-    const i64 hi_i = sh[ndim - 1], lo_i = sl[ndim - 1];
-    const i64 ai = sa[ndim - 1], bi = sb[ndim - 1];
-    do {
-        char *ph = (char *)nm_off(out_hi, sh, idx, ndim);
-        char *pl = (char *)nm_off(out_lo, sl, idx, ndim);
-        const char *pa = nm_off(a, sa, idx, ndim);
-        const char *pb = nm_off(b, sb, idx, ndim);
-        for (i64 c = 0; c < inner; c++) {
-            u128 p = (u128)NM_RD(pa, ai, c) * NM_RD(pb, bi, c);
-            NM_WR(ph, hi_i, c) = (u64)(p >> 64);
-            NM_WR(pl, lo_i, c) = (u64)p;
+void nm_mul128(i64 rows, i64 n, u64 *out_hi, i64 hs, u64 *out_lo, i64 ls,
+               const u64 *a, i64 ar, i64 ac,
+               const u64 *b, i64 br, i64 bc) {
+    for (i64 r = 0; r < rows; r++) {
+        u64 *ph = out_hi + r * hs, *pl = out_lo + r * ls;
+        const u64 *pa = a + r * ar, *pb = b + r * br;
+        for (i64 c = 0; c < n; c++) {
+            u128 p = (u128)pa[c * ac] * pb[c * bc];
+            ph[c] = (u64)(p >> 64);
+            pl[c] = (u64)p;
         }
-    } while (nm_step(ndim, dims, idx));
+    }
 }
 
 /* ----- single-word Barrett mul_mod ----------------------------------- *
@@ -130,39 +96,19 @@ static inline int nm_bits(u64 m) {
     return 64 - __builtin_clzll(m);
 }
 
-void nm_mul_mod(i64 ndim, const i64 *dims,
-                char *out, const i64 *so,
-                const char *a, const i64 *sa,
-                const char *b, const i64 *sb,
-                const char *m, const i64 *sm,
-                const char *mu, const i64 *smu) {
-    i64 idx[NM_MAX_NDIM] = {0};
-    const i64 inner = dims[ndim - 1];
-    const i64 oi = so[ndim - 1], ai = sa[ndim - 1], bi = sb[ndim - 1];
-    const i64 mi = sm[ndim - 1], mui = smu[ndim - 1];
-    do {
-        char *po = (char *)nm_off(out, so, idx, ndim);
-        const char *pa = nm_off(a, sa, idx, ndim);
-        const char *pb = nm_off(b, sb, idx, ndim);
-        const char *pm = nm_off(m, sm, idx, ndim);
-        const char *pmu = nm_off(mu, smu, idx, ndim);
-        if (mi == 0 && mui == 0) {
-            /* one modulus per row: hoist the constants */
-            const u64 mv = NM_RD(pm, 0, 0), muv = NM_RD(pmu, 0, 0);
-            const int k = nm_bits(mv);
-            for (i64 c = 0; c < inner; c++) {
-                u128 x = (u128)NM_RD(pa, ai, c) * NM_RD(pb, bi, c);
-                NM_WR(po, oi, c) = nm_barrett_word(x, mv, muv, k);
-            }
-        } else {
-            for (i64 c = 0; c < inner; c++) {
-                const u64 mv = NM_RD(pm, mi, c);
-                u128 x = (u128)NM_RD(pa, ai, c) * NM_RD(pb, bi, c);
-                NM_WR(po, oi, c) = nm_barrett_word(
-                    x, mv, NM_RD(pmu, mui, c), nm_bits(mv));
-            }
-        }
-    } while (nm_step(ndim, dims, idx));
+void nm_mul_mod(i64 rows, i64 n, u64 *out, i64 os,
+                const u64 *a, i64 ar, i64 ac,
+                const u64 *b, i64 br, i64 bc,
+                const u64 *m, i64 mr, const u64 *mu, i64 mur) {
+    for (i64 r = 0; r < rows; r++) {
+        u64 *po = out + r * os;
+        const u64 *pa = a + r * ar, *pb = b + r * br;
+        const u64 mv = m[r * mr], muv = mu[r * mur];
+        const int k = nm_bits(mv);
+        for (i64 c = 0; c < n; c++)
+            po[c] = nm_barrett_word((u128)pa[c * ac] * pb[c * bc],
+                                    mv, muv, k);
+    }
 }
 
 /* ----- two-word Barrett reduction of a 128-bit value ------------------ *
@@ -184,59 +130,40 @@ static inline u64 nm_barrett128(u64 hi, u64 lo, u64 m, u64 mu_hi,
     return r;
 }
 
-void nm_barrett_reduce128(i64 ndim, const i64 *dims,
-                          char *out, const i64 *so,
-                          const char *hi, const i64 *shi,
-                          const char *lo, const i64 *slo,
-                          const char *m, const i64 *sm,
-                          const char *mu_hi, const i64 *smh,
-                          const char *mu_lo, const i64 *sml) {
-    i64 idx[NM_MAX_NDIM] = {0};
-    const i64 inner = dims[ndim - 1];
-    const i64 oi = so[ndim - 1], hii = shi[ndim - 1], loi = slo[ndim - 1];
-    const i64 mi = sm[ndim - 1], mhi = smh[ndim - 1], mli = sml[ndim - 1];
-    do {
-        char *po = (char *)nm_off(out, so, idx, ndim);
-        const char *ph = nm_off(hi, shi, idx, ndim);
-        const char *pl = nm_off(lo, slo, idx, ndim);
-        const char *pm = nm_off(m, sm, idx, ndim);
-        const char *pmh = nm_off(mu_hi, smh, idx, ndim);
-        const char *pml = nm_off(mu_lo, sml, idx, ndim);
-        for (i64 c = 0; c < inner; c++)
-            NM_WR(po, oi, c) = nm_barrett128(
-                NM_RD(ph, hii, c), NM_RD(pl, loi, c), NM_RD(pm, mi, c),
-                NM_RD(pmh, mhi, c), NM_RD(pml, mli, c));
-    } while (nm_step(ndim, dims, idx));
+void nm_barrett_reduce128(i64 rows, i64 n, u64 *out, i64 os,
+                          const u64 *hi, i64 hr, i64 hc,
+                          const u64 *lo, i64 lr, i64 lc,
+                          const u64 *m, i64 mr,
+                          const u64 *mu_hi, i64 mhr,
+                          const u64 *mu_lo, i64 mlr) {
+    for (i64 r = 0; r < rows; r++) {
+        u64 *po = out + r * os;
+        const u64 *ph = hi + r * hr, *pl = lo + r * lr;
+        const u64 mv = m[r * mr], mh = mu_hi[r * mhr], ml = mu_lo[r * mlr];
+        for (i64 c = 0; c < n; c++)
+            po[c] = nm_barrett128(ph[c * hc], pl[c * lc], mv, mh, ml);
+    }
 }
 
 /* ----- Shoup multiplies ---------------------------------------------- */
 
-void nm_mul_mod_shoup(i64 ndim, const i64 *dims,
-                      char *out, const i64 *so,
-                      const char *a, const i64 *sa,
-                      const char *w, const i64 *sw,
-                      const char *ws, const i64 *sws,
-                      const char *m, const i64 *sm,
-                      i64 lazy) {
-    i64 idx[NM_MAX_NDIM] = {0};
-    const i64 inner = dims[ndim - 1];
-    const i64 oi = so[ndim - 1], ai = sa[ndim - 1];
-    const i64 wi = sw[ndim - 1], wsi = sws[ndim - 1], mi = sm[ndim - 1];
-    do {
-        char *po = (char *)nm_off(out, so, idx, ndim);
-        const char *pa = nm_off(a, sa, idx, ndim);
-        const char *pw = nm_off(w, sw, idx, ndim);
-        const char *pws = nm_off(ws, sws, idx, ndim);
-        const char *pm = nm_off(m, sm, idx, ndim);
-        for (i64 c = 0; c < inner; c++) {
-            const u64 av = NM_RD(pa, ai, c);
-            const u64 mv = NM_RD(pm, mi, c);
-            u64 q = nm_mulhi(av, NM_RD(pws, wsi, c));
-            u64 r = av * NM_RD(pw, wi, c) - q * mv;
-            if (!lazy && r >= mv) r -= mv;
-            NM_WR(po, oi, c) = r;
+void nm_mul_mod_shoup(i64 rows, i64 n, u64 *out, i64 os,
+                      const u64 *a, i64 ar, i64 ac,
+                      const u64 *w, i64 wr, i64 wc,
+                      const u64 *ws, i64 wsr, i64 wsc,
+                      const u64 *m, i64 mr, i64 lazy) {
+    for (i64 r = 0; r < rows; r++) {
+        u64 *po = out + r * os;
+        const u64 *pa = a + r * ar, *pw = w + r * wr, *pws = ws + r * wsr;
+        const u64 mv = m[r * mr];
+        for (i64 c = 0; c < n; c++) {
+            const u64 av = pa[c * ac];
+            u64 q = nm_mulhi(av, pws[c * wsc]);
+            u64 res = av * pw[c * wc] - q * mv;
+            if (!lazy && res >= mv) res -= mv;
+            po[c] = res;
         }
-    } while (nm_step(ndim, dims, idx));
+    }
 }
 
 /* ----- whole-matrix negacyclic NTT ------------------------------------ *
@@ -331,39 +258,23 @@ void nm_ntt_inverse(i64 L, i64 n, u64 *a, const u64 *ipsi,
  * mul_mod pass plus an add_mod pass.  acc must be canonical; output is
  * canonical and bit-identical to add_mod(acc, mul_mod(a, b, m), m).    */
 
-void nm_mul_mod_add(i64 ndim, const i64 *dims,
-                    char *out, const i64 *so,
-                    const char *acc, const i64 *sacc,
-                    const char *a, const i64 *sa,
-                    const char *b, const i64 *sb,
-                    const char *m, const i64 *sm,
-                    const char *mu, const i64 *smu) {
-    i64 idx[NM_MAX_NDIM] = {0};
-    const i64 inner = dims[ndim - 1];
-    const i64 oi = so[ndim - 1], acci = sacc[ndim - 1];
-    const i64 ai = sa[ndim - 1], bi = sb[ndim - 1];
-    const i64 mi = sm[ndim - 1], mui = smu[ndim - 1];
-    do {
-        char *po = (char *)nm_off(out, so, idx, ndim);
-        const char *pacc = nm_off(acc, sacc, idx, ndim);
-        const char *pa = nm_off(a, sa, idx, ndim);
-        const char *pb = nm_off(b, sb, idx, ndim);
-        const char *pm = nm_off(m, sm, idx, ndim);
-        const char *pmu = nm_off(mu, smu, idx, ndim);
-        const u64 mv0 = NM_RD(pm, 0, 0), muv0 = NM_RD(pmu, 0, 0);
-        const int k0 = nm_bits(mv0);
-        const int hoist = (mi == 0 && mui == 0);
-        for (i64 c = 0; c < inner; c++) {
-            const u64 mv = hoist ? mv0 : NM_RD(pm, mi, c);
-            const u64 muv = hoist ? muv0 : NM_RD(pmu, mui, c);
-            const int k = hoist ? k0 : nm_bits(mv);
-            u128 x = (u128)NM_RD(pa, ai, c) * NM_RD(pb, bi, c);
-            u64 r = nm_barrett_word(x, mv, muv, k);
-            u64 s = NM_RD(pacc, acci, c) + r;
+void nm_mul_mod_add(i64 rows, i64 n, u64 *out, i64 os,
+                    const u64 *acc, i64 accr, i64 accc,
+                    const u64 *a, i64 ar, i64 ac,
+                    const u64 *b, i64 br, i64 bc,
+                    const u64 *m, i64 mr, const u64 *mu, i64 mur) {
+    for (i64 r = 0; r < rows; r++) {
+        u64 *po = out + r * os;
+        const u64 *pacc = acc + r * accr, *pa = a + r * ar, *pb = b + r * br;
+        const u64 mv = m[r * mr], muv = mu[r * mur];
+        const int k = nm_bits(mv);
+        for (i64 c = 0; c < n; c++) {
+            u64 s = pacc[c * accc] + nm_barrett_word(
+                (u128)pa[c * ac] * pb[c * bc], mv, muv, k);
             if (s >= mv) s -= mv;
-            NM_WR(po, oi, c) = s;
+            po[c] = s;
         }
-    } while (nm_step(ndim, dims, idx));
+    }
 }
 
 /* ----- fused BConv multiply-accumulate-reduce ------------------------- *
@@ -437,6 +348,23 @@ i64 nm_selftest(void) {
         nm_ntt_inverse(2, 4, x, ipsi, ipsi_s, qs, ninv, ninv_s);
         for (int i = 0; i < 8; i++)
             if (x[i] != in[i]) return 5;
+    }
+    /* 2-D ABI: a (2, 3) matrix read through a row stride of 4 times a
+     * broadcast (2, 1) column, one modulus per row, into a row-strided
+     * output -- exercises every stride argument of the fixed signature. */
+    {
+        const u64 ms[2] = {m, 113};
+        const u64 a2[8] = {m - 1, m - 2, 5, 0, 100, 112, 7, 0};
+        const u64 b2[2] = {m - 3, 111};
+        u64 mus[2], o[6];
+        for (int r = 0; r < 2; r++)
+            mus[r] = (u64)((((u128)1) << (2 * nm_bits(ms[r]))) / ms[r]);
+        nm_mul_mod(2, 3, o, 3, a2, 4, 1, b2, 1, 0, ms, 1, mus, 1);
+        for (int r = 0; r < 2; r++)
+            for (int c = 0; c < 3; c++)
+                if (o[r * 3 + c]
+                    != (u64)(((u128)a2[r * 4 + c] * b2[r]) % ms[r]))
+                    return 6;
     }
     return 0;
 }

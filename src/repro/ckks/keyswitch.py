@@ -50,42 +50,6 @@ from repro.obs import kernel as _obs_kernel
 import numpy as np
 
 
-def mod_up(slice_poly: RnsPolynomial, level: int, ring: RingContext,
-           slice_coeff: RnsPolynomial | None = None) -> RnsPolynomial:
-    """Raise one decomposition slice to the working base C_level + B.
-
-    ``slice_poly`` is NTT-domain over one of the decomposition blocks of
-    :meth:`~repro.ckks.params.RingContext.mod_up_plan` (the block's own
-    limbs are reused as-is; only the converted limbs pay the
-    iNTT -> BConv -> NTT cost).  ``slice_coeff`` may supply the
-    coefficient-domain form when the caller already has it.  This is the
-    single-slice entry point; the production path is
-    :func:`raise_decomposition`, which additionally shares one stacked
-    forward transform across every slice of the decomposition.
-    """
-    slice_values = tuple(p.value for p in slice_poly.base)
-    for slice_base, complement, own_rows, conv_rows \
-            in ring.mod_up_plan(level):
-        if tuple(p.value for p in slice_base) == slice_values:
-            break
-    else:
-        # Not a standard decomposition block (tests raise ad-hoc
-        # sub-bases): derive the layout directly.
-        target_base = ring.base_qp(level)
-        block_values = set(slice_values)
-        complement = tuple(p for p in target_base
-                           if p.value not in block_values)
-        own_rows = [i for i, p in enumerate(target_base)
-                    if p.value in block_values]
-        conv_rows = [i for i, p in enumerate(target_base)
-                     if p.value not in block_values]
-    if slice_coeff is None:
-        slice_coeff = slice_poly.from_ntt()
-    converted = base_convert(slice_coeff, complement).to_ntt()
-    return _assemble_raised(ring.base_qp(level), slice_poly, converted,
-                            own_rows, conv_rows)
-
-
 def _assemble_raised(target_base: tuple[PrimeContext, ...],
                      slice_poly: RnsPolynomial, converted: RnsPolynomial,
                      own_rows: list[int],
@@ -234,9 +198,11 @@ def key_switch_accumulate(raised: list[RnsPolynomial], evk: EvaluationKey,
     acc_a = RnsPolynomial.zeros(working_base, raised[0].n, is_ntt=True)
     moduli = acc_b.moduli
     # Under the native backend the multiply-accumulate fuses into one
-    # strided C pass per digit (nm_mul_mod_add); the NumPy route keeps
-    # the Shoup multiply, whose precomputed constants beat a generic
-    # Barrett there.  Both produce the same canonical residues.
+    # 2-D C call per digit and accumulator (nm_mul_mod_add over the
+    # (limbs, N) residue matrices, one modulus per row); the NumPy
+    # route keeps the Shoup multiply, whose precomputed constants beat
+    # a generic Barrett there.  Both produce the same canonical
+    # residues.
     fused = active_backend() == "native"
     for slice_poly, (evk_b, evk_a, b_shoup, a_shoup) in zip(raised,
                                                             level_slices):

@@ -25,22 +25,36 @@ through a backend registry:
   bit-identity oracle the native backend is tested against (the same
   role :func:`~repro.ckks.rns._base_convert_reference` plays for BConv).
 * ``native`` — a small C library (``repro/ckks/_native``) doing the same
-  arithmetic with real 64x128-bit machine words, one fused strided pass
-  per kernel.  Exact, so outputs are bit-identical to the NumPy path.
+  arithmetic with real 64x128-bit machine words, one fused pass per
+  kernel.  Exact, so outputs are bit-identical to the NumPy path.
 
 Selection: ``REPRO_MODMATH_BACKEND`` = ``native`` | ``numpy`` | ``auto``
 (default).  ``auto`` prefers the native library and silently falls back
 to NumPy when it cannot be built or loaded; ``native`` falls back too
 but warns, so CI can also make the build a hard step; ``numpy`` disables
-dispatch entirely.  :func:`set_backend` overrides the env var at
-runtime (tests use this to run the differential tiers under both
-backends in one process).  Evk products, Shoup multiplies and the
-scalar per-prime NTT oracle funnel through these functions and inherit
-the selected backend with no call-site changes.  Two whole kernels skip
-the primitives under ``native`` and make one C call each, reading
-contiguous matrices: the batched NTT (``nm_ntt_forward`` /
-``nm_ntt_inverse``, see :mod:`repro.ckks.ntt`) and BConv (``nm_bconv``,
-see :mod:`repro.ckks.rns`).  Under ``numpy`` the batched NTT runs the
+dispatch entirely.  The env var is read once, on the first kernel call,
+and the resolved handle is cached; :func:`set_backend` overrides it at
+runtime and takes effect on the very next call (tests use this to run
+the differential tiers under both backends in one process), and
+``_native.reset_for_tests()`` drops the cache so the library reloads.
+Evk products, Shoup multiplies and the scalar per-prime NTT oracle
+funnel through these functions and inherit the selected backend with no
+call-site changes.
+
+Every element-wise kernel has one fixed 2-D C signature: a
+``(rows, n)`` output with contiguous rows, each matrix operand as a
+pointer plus ``(row, col)`` element strides (stride 0 broadcasts), and
+the per-limb modulus constants as a pointer plus a row stride.
+:func:`_native_call` derives those strides straight from
+``arr.shape`` / ``arr.strides``; deeper arrays fold to
+``(shape[0], -1)`` when their strides allow it and are copied once
+otherwise, so no layout leaves the native kernel.  The constant columns
+of a :class:`Modulus` / :class:`ModulusVector` are built and pinned
+once per modulus.  Two whole kernels skip the primitives under
+``native`` and make one C call each, reading contiguous matrices: the
+batched NTT (``nm_ntt_forward`` / ``nm_ntt_inverse``, see
+:mod:`repro.ckks.ntt`) and BConv (``nm_bconv``, see
+:mod:`repro.ckks.rns`).  Under ``numpy`` the batched NTT runs the
 radix-4 Stockham engine, or the strict radix-2 path for moduli too wide
 for it; all engines are bit-identical.
 
@@ -57,8 +71,7 @@ function in this module broadcasts them against a full
 therefore costs O(1) Python-level dispatches instead of O(num_limbs),
 which is where ~80% of the per-limb path's wall-clock went.  Every
 function accepts either a scalar :class:`Modulus` or a
-:class:`ModulusVector` (anything exposing broadcast-compatible ``u64`` /
-``mu_hi`` / ``mu_lo``), and the ``out=`` parameters let hot callers
+:class:`ModulusVector`, and the ``out=`` parameters let hot callers
 reuse scratch buffers instead of allocating temporaries per stage.
 """
 
@@ -146,9 +159,9 @@ _BACKEND_ENV = "REPRO_MODMATH_BACKEND"
 _VALID_BACKENDS = ("auto", "native", "numpy")
 _forced_backend: str | None = None
 _warned_native_missing = False
-
-#: Kernels refuse shapes deeper than this (mirrors NM_MAX_NDIM in C).
-_NATIVE_MAX_NDIM = 8
+_UNRESOLVED = object()
+#: The handle kernels dispatch to (``None``: NumPy), resolved on first use.
+_active = _UNRESOLVED
 
 
 def _requested_backend() -> str:
@@ -161,18 +174,30 @@ def _requested_backend() -> str:
 
 def _active_native():
     """The native library handle when dispatch should use it, else None."""
-    global _warned_native_missing
+    handle = _active
+    if handle is _UNRESOLVED:
+        handle = _resolve_active()
+    return handle
+
+
+def _resolve_active():
+    global _active, _warned_native_missing
     mode = _requested_backend()
-    if mode == "numpy":
-        return None
-    handle = _native_backend.load()
+    handle = None if mode == "numpy" else _native_backend.load()
     if handle is None and mode == "native" and not _warned_native_missing:
         _warned_native_missing = True
         warnings.warn(
             f"{_BACKEND_ENV}=native requested but the extension is "
             f"unavailable ({_native_backend.load_error()}); falling back "
-            "to the NumPy backend", RuntimeWarning, stacklevel=3)
+            "to the NumPy backend", RuntimeWarning, stacklevel=4)
+    _active = handle
     return handle
+
+
+def _invalidate_backend() -> None:
+    """Re-resolve the backend on the next kernel call."""
+    global _active
+    _active = _UNRESOLVED
 
 
 def active_backend() -> str:
@@ -193,7 +218,8 @@ def set_backend(name: str | None) -> str:
     disables native dispatch, ``"native"`` requires the extension and
     raises ``RuntimeError`` when it cannot be loaded (unlike the env
     var, which only warns — a programmatic request is a test or a
-    deployment assertion, so failing loud is the point).
+    deployment assertion, so failing loud is the point).  Takes effect
+    on the next kernel call.
     """
     global _forced_backend
     if name is None:
@@ -205,41 +231,148 @@ def set_backend(name: str | None) -> str:
         raise RuntimeError("native modmath backend unavailable: "
                            f"{_native_backend.load_error()}")
     _forced_backend = None if name == "auto" else name
+    _invalidate_backend()
     return active_backend()
 
 
-def _native_ok(out: np.ndarray) -> bool:
-    return 1 <= out.ndim <= _NATIVE_MAX_NDIM and out.dtype == np.uint64
+# ----- native dispatch: one fixed 2-D kernel signature ---------------------
 
 
-def _nm_call(handle, fname: str, out_arrays, in_arrays, extra=()):
-    """Invoke a strided native kernel over ``out_arrays[0].shape``.
+def _fold(arr: np.ndarray, shape: tuple[int, ...]
+          ) -> tuple[int, int] | None:
+    """Element strides ``(row, col)`` of ``arr`` as a 2-D operand.
 
-    Every operand is broadcast to the output shape (broadcast axes get
-    stride 0) and passed as a ``(pointer, byte-strides)`` pair, so any
-    NumPy view — column constants, tiled planes, transposed slabs —
-    works without a copy.  ``keep`` pins the views and stride buffers
-    for the duration of the call.
+    ``arr`` is broadcast to ``shape`` (two or more axes; a size-1 axis
+    gets stride 0) and viewed as ``(shape[0], prod(shape[1:]))``.
+    Returns ``None`` when that view needs a copy: the trailing axes do
+    not collapse into one strided axis, or a stride is not a whole
+    number of words.  Raises ``ValueError`` when ``arr`` does not
+    broadcast to ``shape``.
     """
-    ffi = handle.ffi
-    shape = out_arrays[0].shape
-    dims = np.asarray(shape, dtype=np.int64)
-    keep = [dims]
-    args = [len(shape), ffi.cast("const int64_t *", dims.ctypes.data)]
-    for arr in out_arrays:
-        st = np.asarray(arr.strides, dtype=np.int64)
-        keep += [arr, st]
-        args += [ffi.cast("char *", arr.ctypes.data),
-                 ffi.cast("const int64_t *", st.ctypes.data)]
-    for arr in in_arrays:
-        view = arr if getattr(arr, "shape", None) == shape \
-            else np.broadcast_to(arr, shape)
-        st = np.asarray(view.strides, dtype=np.int64)
-        keep += [view, st]
-        args += [ffi.cast("const char *", view.ctypes.data),
-                 ffi.cast("const int64_t *", st.ctypes.data)]
-    getattr(handle.lib, fname)(*args, *extra)
-    del keep
+    ashape = arr.shape
+    astrides = arr.strides
+    nd = len(shape)
+    if len(ashape) == nd == 2:
+        rows, cols = ashape
+        row, col = astrides
+        if rows == 1:
+            row = 0
+        elif rows != shape[0]:
+            raise ValueError(f"operand {ashape} does not broadcast to "
+                             f"{shape}")
+        if cols == 1:
+            col = 0
+        elif cols != shape[1]:
+            raise ValueError(f"operand {ashape} does not broadcast to "
+                             f"{shape}")
+    else:
+        off = nd - len(ashape)
+        strides = [0] * nd
+        for j, d in enumerate(ashape):
+            if d == 1:
+                continue
+            if j < -off or d != shape[j + off]:
+                raise ValueError(f"operand {ashape} does not broadcast "
+                                 f"to {shape}")
+            strides[j + off] = astrides[j]
+        row, col, span = strides[0], 0, None
+        for k in range(nd - 1, 0, -1):
+            if shape[k] == 1:
+                continue
+            if span is None:
+                col = strides[k]
+            elif strides[k] != span:
+                return None
+            span = strides[k] * shape[k]
+    if (row | col) & 7:
+        return None
+    return row >> 3, col >> 3
+
+
+_CONST_ATTRS = ("u64", "mu_single", "mu_hi", "mu_lo")
+
+
+def _row_consts(h, m: "Modulus | ModulusVector") -> tuple:
+    """``(h, rows, ndim, {attr: pointer})`` for ``m``'s constant columns.
+
+    Built once per modulus and library handle, then cached on ``m``
+    (the pointers pin contiguous 1-D copies of the columns).
+    """
+    cached = m._native
+    if cached is None or cached[0] is not h:
+        ptrs = {}
+        for attr in _CONST_ATTRS:
+            col = np.ascontiguousarray(getattr(m, attr),
+                                       dtype=np.uint64).reshape(-1)
+            ptrs[attr] = h.ptr(col)
+        cached = (h, col.size, np.ndim(m.u64), ptrs)
+        object.__setattr__(m, "_native", cached)
+    return cached
+
+
+def _native_call(h, kernel: str, outs, mats, m=None, consts=(),
+                 extra=()) -> None:
+    """One call of a fixed 2-D kernel over ``outs[0].shape``.
+
+    ``outs`` are written, ``mats`` are broadcast element-wise operands,
+    ``consts`` names the per-row constant columns of the modulus ``m``
+    (``"u64"``, ``"mu_single"``, ...), and ``extra`` trails the
+    argument list.  Every array is passed as a word pointer plus its
+    element strides; an operand whose trailing axes do not fold is
+    copied once, an output that does not fold (or is not a contiguous
+    ``uint64`` row) is computed into a fresh array and copied back.
+    """
+    oshape = outs[0].shape
+    nd = len(oshape)
+    shape = oshape if nd >= 2 else (1,) * (2 - nd) + oshape
+    rows = shape[0]
+    n = 1
+    for d in shape[1:]:
+        n *= d
+    if rows == 0 or n == 0:
+        return
+    if m is not None:
+        _, m_rows, m_ndim, m_ptrs = _row_consts(h, m)
+        if m_rows == 1:
+            m_stride = 0
+        elif m_ndim == len(shape) and m_rows == rows:
+            m_stride = 1
+        elif 2 <= m_ndim < nd:
+            # the modulus rows sit on a later axis: one call per index
+            # of the leading axis
+            for i in range(oshape[0]):
+                _native_call(h, kernel, [o[i] for o in outs],
+                             [np.broadcast_to(x, oshape)[i] for x in mats],
+                             m, consts, extra)
+            return
+        else:
+            raise ValueError(f"{m_rows} moduli do not broadcast to "
+                             f"{oshape}")
+    args = [rows, n]
+    copy_back = []
+    for o in outs:
+        if not o.flags.writeable:
+            raise ValueError("output array is read-only")
+        if o.shape != oshape:
+            raise ValueError(f"outputs {o.shape} and {oshape} differ")
+        st = _fold(o, shape) if o.dtype == np.uint64 else None
+        if st is None or (st[1] != 1 and n > 1):
+            tmp = np.empty((rows, n), np.uint64)
+            copy_back.append((o, tmp))
+            args += [h.ptr(tmp), n]
+        else:
+            args += [h.ptr(o), st[0]]
+    for x in mats:
+        st = _fold(x, shape)
+        if st is None:
+            x = np.ascontiguousarray(np.broadcast_to(x, shape))
+            st = _fold(x, shape)
+        args += [h.ptr(x), st[0], st[1]]
+    for attr in consts:
+        args += [m_ptrs[attr], m_stride]
+    getattr(h.lib, kernel)(*args, *extra)
+    for o, tmp in copy_back:
+        o[...] = tmp.reshape(oshape)
 
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
@@ -280,14 +413,15 @@ def mul128(a: np.ndarray, b: np.ndarray,
     """
     a = _as_u64(a)
     b = _as_u64(b)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    if out_hi is None:
-        out_hi = np.empty(shape, np.uint64)
-    if out_lo is None:
-        out_lo = np.empty(shape, np.uint64)
     h = _active_native()
-    if h is not None and _native_ok(out_hi) and out_lo.dtype == np.uint64:
-        _nm_call(h, "nm_mul128", (out_hi, out_lo), (a, b))
+    if out_hi is None or out_lo is None or h is None:
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        if out_hi is None:
+            out_hi = np.empty(shape, np.uint64)
+        if out_lo is None:
+            out_lo = np.empty(shape, np.uint64)
+    if h is not None:
+        _native_call(h, "nm_mul128", (out_hi, out_lo), (a, b))
         return out_hi, out_lo
     a0, a1 = _halves(a, _tag + ".a")
     b0, b1 = _halves(b, _tag + ".b")
@@ -320,12 +454,13 @@ def mulhi64(a: np.ndarray, b: np.ndarray,
     """High 64 bits of the 128-bit product ``a * b``."""
     a = _as_u64(a)
     b = _as_u64(b)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    if out is None:
-        out = np.empty(shape, np.uint64)
     h = _active_native()
-    if h is not None and _native_ok(out):
-        _nm_call(h, "nm_mulhi64", (out,), (a, b))
+    if out is None or h is None:
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        if out is None:
+            out = np.empty(shape, np.uint64)
+    if h is not None:
+        _native_call(h, "nm_mulhi64", (out,), (a, b))
         return out
     a0, a1 = _halves(a, "mulhi.a")
     b0, b1 = _halves(b, "mulhi.b")
@@ -378,6 +513,9 @@ class Modulus:
     #: True when the fold-the-high-word 128-bit reduction applies
     #: (needs m^2 > 2^64 for the low word and 5m < 2^64 for the sum).
     lazy128_ok: bool = field(repr=False, default=False)
+    #: Native constant-column pointers, filled on first native call.
+    _native: object = field(default=None, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self) -> None:
         if not 3 <= self.value < MODULUS_LIMIT:
@@ -424,7 +562,7 @@ class ModulusVector:
     __slots__ = ("moduli", "values", "u64", "u64_x2", "mu_hi", "mu_lo",
                  "mu_single", "shift_lo", "shift_hi", "shift_qlo",
                  "shift_qhi", "r64", "r64_shoup", "lazy128_ok",
-                 "trailing_dims", "_expanded")
+                 "trailing_dims", "_expanded", "_native")
 
     def __init__(self, moduli: Sequence[Modulus],
                  trailing_dims: int = 1) -> None:
@@ -455,6 +593,8 @@ class ModulusVector:
         self.lazy128_ok = all(m.lazy128_ok for m in self.moduli)
         self.trailing_dims = trailing_dims
         self._expanded: dict[int, "ModulusVector"] = {}
+        #: native constant-column pointers, filled on first native call
+        self._native = None
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -512,13 +652,12 @@ def barrett_reduce128(hi: np.ndarray, lo: np.ndarray,
     lo = _as_u64(lo)
     h = _active_native()
     if h is not None:
-        shape = np.broadcast_shapes(hi.shape, lo.shape, np.shape(m.u64))
         if out is None:
-            out = np.empty(shape, np.uint64)
-        if _native_ok(out):
-            _nm_call(h, "nm_barrett_reduce128", (out,),
-                     (hi, lo, m.u64, m.mu_hi, m.mu_lo))
-            return out
+            out = np.empty(np.broadcast_shapes(hi.shape, lo.shape,
+                                               np.shape(m.u64)), np.uint64)
+        _native_call(h, "nm_barrett_reduce128", (out,), (hi, lo), m,
+                     ("u64", "mu_hi", "mu_lo"))
+        return out
     if m.lazy128_ok:
         shape = np.broadcast_shapes(hi.shape, np.shape(m.u64))
         z = mul_mod_shoup_lazy(hi, m.r64, m.r64_shoup, m,
@@ -583,12 +722,12 @@ def mul_mod(a: np.ndarray, b: np.ndarray, m: Modulus | ModulusVector,
     b = _as_u64(b)
     h = _active_native()
     if h is not None:
-        nshape = np.broadcast_shapes(a.shape, b.shape, np.shape(m.u64))
         if out is None:
-            out = np.empty(nshape, np.uint64)
-        if _native_ok(out):
-            _nm_call(h, "nm_mul_mod", (out,), (a, b, m.u64, m.mu_single))
-            return out
+            out = np.empty(np.broadcast_shapes(a.shape, b.shape,
+                                               np.shape(m.u64)), np.uint64)
+        _native_call(h, "nm_mul_mod", (out,), (a, b), m,
+                     ("u64", "mu_single"))
+        return out
     shape = np.broadcast_shapes(a.shape, b.shape)
     hi, lo = mul128(a, b, out_hi=_ws.get("mul_mod.hi", shape),
                     out_lo=_ws.get("mul_mod.lo", shape))
@@ -636,14 +775,12 @@ def mul_mod_add(acc: np.ndarray, a: np.ndarray, b: np.ndarray,
     b = _as_u64(b)
     h = _active_native()
     if h is not None:
-        shape = np.broadcast_shapes(acc.shape, a.shape, b.shape,
-                                    np.shape(m.u64))
         if out is None:
-            out = np.empty(shape, np.uint64)
-        if _native_ok(out):
-            _nm_call(h, "nm_mul_mod_add", (out,),
-                     (acc, a, b, m.u64, m.mu_single))
-            return out
+            out = np.empty(np.broadcast_shapes(acc.shape, a.shape, b.shape,
+                                               np.shape(m.u64)), np.uint64)
+        _native_call(h, "nm_mul_mod_add", (out,), (acc, a, b), m,
+                     ("u64", "mu_single"))
+        return out
     prod = mul_mod(a, b, m,
                    out=_ws.get("mma.prod",
                                np.broadcast_shapes(a.shape, b.shape,
@@ -721,14 +858,13 @@ def mul_mod_shoup(a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
     w_shoup = _as_u64(w_shoup)
     h = _active_native()
     if h is not None:
-        shape = np.broadcast_shapes(a.shape, w.shape, w_shoup.shape,
-                                    np.shape(m.u64))
         if out is None:
-            out = np.empty(shape, np.uint64)
-        if _native_ok(out):
-            _nm_call(h, "nm_mul_mod_shoup", (out,),
-                     (a, w, w_shoup, m.u64), extra=(0,))
-            return out
+            out = np.empty(np.broadcast_shapes(a.shape, w.shape,
+                                               w_shoup.shape,
+                                               np.shape(m.u64)), np.uint64)
+        _native_call(h, "nm_mul_mod_shoup", (out,), (a, w, w_shoup), m,
+                     ("u64",), (0,))
+        return out
     q = mulhi64(a, w_shoup,
                 out=_ws.get("shoup.q",
                             np.broadcast_shapes(a.shape, w_shoup.shape)))
@@ -755,14 +891,13 @@ def mul_mod_shoup_lazy(a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
     w_shoup = _as_u64(w_shoup)
     h = _active_native()
     if h is not None:
-        shape = np.broadcast_shapes(a.shape, w.shape, w_shoup.shape,
-                                    np.shape(m.u64))
         if out is None:
-            out = np.empty(shape, np.uint64)
-        if _native_ok(out):
-            _nm_call(h, "nm_mul_mod_shoup", (out,),
-                     (a, w, w_shoup, m.u64), extra=(1,))
-            return out
+            out = np.empty(np.broadcast_shapes(a.shape, w.shape,
+                                               w_shoup.shape,
+                                               np.shape(m.u64)), np.uint64)
+        _native_call(h, "nm_mul_mod_shoup", (out,), (a, w, w_shoup), m,
+                     ("u64",), (1,))
+        return out
     q = mulhi64(a, w_shoup,
                 out=_ws.get("shoup.q",
                             np.broadcast_shapes(a.shape, w_shoup.shape)))

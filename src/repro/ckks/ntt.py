@@ -726,7 +726,7 @@ class BatchedNttContext:
         if args is None:
             def ptr(arr: np.ndarray):
                 assert arr.flags.c_contiguous
-                return h.ffi.cast("const uint64_t *", arr.ctypes.data)
+                return h.ptr(arr)
 
             m = ptr(self.moduli.u64)
             args = ((ptr(self.psi_rev), ptr(self.psi_rev_shoup), m),
@@ -734,7 +734,7 @@ class BatchedNttContext:
                      ptr(self.n_inv), ptr(self.n_inv_shoup)))
             self._native_args[h] = args
         out = np.array(a, dtype=np.uint64, order="C")
-        ptr_out = h.ffi.cast("uint64_t *", out.ctypes.data)
+        ptr_out = h.ptr(out)
         if inverse:
             h.lib.nm_ntt_inverse(self.num_limbs, self.n, ptr_out, *args[1])
         else:

@@ -340,13 +340,17 @@ def _galois_permutation(n: int, galois_elt: int
 def _bconv_table(src_values: tuple[int, ...], dst_values: tuple[int, ...]):
     """Precomputed constants for BConv from ``src`` to ``dst`` (Eq. 9).
 
-    Returns ``(qhat_inv, qhat_inv_shoup, cross, lazy_ok)`` where
-    ``qhat_inv[j]`` is ``[ (Q/q_j)^-1 ]_{q_j}`` (as an ``(src, 1)``
-    column together with its Shoup constants), ``cross[i][j]`` is
-    ``[Q/q_j]_{dst_i}`` laid out ``(dst, src, 1)`` for broadcasting
-    against ``(src, N)`` terms, and ``lazy_ok`` says whether the summed
-    128-bit products provably stay below ``2**128`` (always true for
-    practical parameter sets; the reference loop covers the rest).
+    Returns ``(qhat_inv, qhat_inv_shoup, cross, lazy_ok, planes_ok,
+    native)`` where ``qhat_inv[j]`` is ``[ (Q/q_j)^-1 ]_{q_j}`` (as an
+    ``(src, 1)`` column together with its Shoup constants),
+    ``cross[i][j]`` is ``[Q/q_j]_{dst_i}`` laid out ``(dst, src, 1)``
+    for broadcasting against ``(src, N)`` terms, and ``lazy_ok`` says
+    whether the summed 128-bit products provably stay below ``2**128``
+    (always true for practical parameter sets; the reference loop
+    covers the rest).  ``native`` maps a library handle to the
+    ``nm_bconv`` table pointers (the contiguous ``(dst, src)`` cross
+    matrix and the destination ``m`` / ``mu_hi`` / ``mu_lo`` words),
+    filled on the first native conversion.
     """
     product = math.prod(src_values)
     qhat = [product // q for q in src_values]
@@ -364,7 +368,18 @@ def _bconv_table(src_values: tuple[int, ...], dst_values: tuple[int, ...]):
                    max(p.bit_length() for p in dst_values))
     planes_ok = max_bits + src_log <= 62
     return (qhat_inv_cols, qhat_inv_shoup, cross, max_total < (1 << 128),
-            planes_ok)
+            planes_ok, {})
+
+
+def _bconv_native_args(h, table, dst_moduli: ModulusVector) -> tuple:
+    """The ``nm_bconv`` table pointers of a :func:`_bconv_table` entry."""
+    args = table[5].get(h)
+    if args is None:
+        args = tuple(h.ptr(np.ascontiguousarray(arr).reshape(-1))
+                     for arr in (table[2], dst_moduli.u64,
+                                 dst_moduli.mu_hi, dst_moduli.mu_lo))
+        table[5][h] = args
+    return args
 
 
 def base_convert(poly: RnsPolynomial,
@@ -391,8 +406,8 @@ def base_convert(poly: RnsPolynomial,
         _obs_kernel.TALLY.bconv_planes += len(dst_base) * len(poly.base)
     src_values = tuple(p.value for p in poly.base)
     dst_values = tuple(p.value for p in dst_base)
-    qhat_inv, qhat_inv_shoup, cross, lazy_ok, planes_ok = _bconv_table(
-        src_values, dst_values)
+    table = _bconv_table(src_values, dst_values)
+    qhat_inv, qhat_inv_shoup, cross, lazy_ok, planes_ok, _ = table
     if not lazy_ok:  # pragma: no cover - unreachable for < 2^62 moduli
         return _base_convert_reference(poly, dst_base)
 
@@ -415,19 +430,9 @@ def base_convert(poly: RnsPolynomial,
         # cell.  Valid exactly when lazy_ok (checked above); output is
         # canonical, bit-identical to the accumulate + reduce below.
         out = np.empty(shape, dtype=np.uint64)
-        cr = np.ascontiguousarray(cross[:, :, 0])
-        mvals = np.ascontiguousarray(dst_moduli.u64.ravel())
-        mhi = np.ascontiguousarray(dst_moduli.mu_hi.ravel())
-        mlo = np.ascontiguousarray(dst_moduli.mu_lo.ravel())
-        ffi = h.ffi
-        h.lib.nm_bconv(
-            shape[0], terms.shape[0], n,
-            ffi.cast("uint64_t *", out.ctypes.data),
-            ffi.cast("const uint64_t *", terms.ctypes.data),
-            ffi.cast("const uint64_t *", cr.ctypes.data),
-            ffi.cast("const uint64_t *", mvals.ctypes.data),
-            ffi.cast("const uint64_t *", mhi.ctypes.data),
-            ffi.cast("const uint64_t *", mlo.ctypes.data))
+        h.lib.nm_bconv(shape[0], terms.shape[0], n, h.ptr(out),
+                       h.ptr(terms),
+                       *_bconv_native_args(h, table, dst_moduli))
         return RnsPolynomial(dst_base, out, is_ntt=False)
     if planes_ok and _LITTLE_ENDIAN:
         acc_hi, acc_lo = _mmau_accumulate_planes(terms, cross, shape)
@@ -518,8 +523,8 @@ def _base_convert_reference(poly: RnsPolynomial,
         raise ValueError("BConv operates in the coefficient domain")
     src_values = tuple(p.value for p in poly.base)
     dst_values = tuple(p.value for p in dst_base)
-    qhat_inv, qhat_inv_shoup, cross, _lazy_ok, _planes_ok = _bconv_table(
-        src_values, dst_values)
+    qhat_inv, qhat_inv_shoup, cross, _lazy_ok, _planes_ok, _ = \
+        _bconv_table(src_values, dst_values)
 
     n = poly.n
     terms = np.empty_like(poly.residues)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ckks.keyswitch import key_switch, mod_down, mod_up
+from repro.ckks.keyswitch import key_switch, mod_down
+from tests.oracles.modup import mod_up
 from repro.ckks.rns import RnsPolynomial, crt_reconstruct
 
 

